@@ -38,8 +38,9 @@ python3 scripts/check_trace.py --require-flow "${TRACE_OUT}"
 
 echo "== tier-1: chaos soak under ThreadSanitizer =="
 cmake -B build-tsan -S . -DLT_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test
+cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_sync_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_async_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_ring_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/transport_test

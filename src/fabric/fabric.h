@@ -68,15 +68,7 @@ class FabricPort {
 
 class Fabric {
  public:
-  explicit Fabric(const SimParams& params) : params_(params) {
-    // SimParams-level fault knobs become the engine's boot-time default rule.
-    if (params.fabric_drop_probability > 0.0 || params.fabric_extra_delay_ns != 0) {
-      LinkFaultRule rule;
-      rule.drop_p = params.fabric_drop_probability;
-      rule.extra_delay_ns = params.fabric_extra_delay_ns;
-      faults_.SetDefaultRule(rule);
-    }
-  }
+  explicit Fabric(const SimParams& params) : params_(params) {}
 
   // Attaches a port for `node`; node ids must be attached in order 0..N-1.
   FabricPort* Attach(NodeId node);

@@ -53,10 +53,9 @@ class LiteClient {
   StatusOr<MemopHandle> WriteAsync(Lh lh, uint64_t offset, const void* buf, uint64_t len);
   StatusOr<bool> Poll(MemopHandle h);
   Status Wait(MemopHandle h);
-  Status WaitAll();
-  // Per-handle variant: appends (handle, final status) for every retired op,
-  // so one dead peer doesn't swallow the other handles' outcomes.
-  Status WaitAll(std::vector<std::pair<MemopHandle, Status>>* results);
+  // With `results`, appends (handle, final status) for every retired op, so
+  // one dead peer doesn't swallow the other handles' outcomes.
+  Status WaitAll(std::vector<std::pair<MemopHandle, Status>>* results = nullptr);
   Status Memset(Lh lh, uint64_t offset, uint8_t value, uint64_t len);
   Status Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, uint64_t len);
   Status Memmove(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, uint64_t len);

@@ -31,10 +31,7 @@ void ReplyOkPayload(LiteInstance* self, const ReplyToken& token, const WireWrite
 // to reply with.
 lt::StatusCode GateLocalRange(LiteInstance* self, PhysAddr addr, uint64_t len, bool is_write,
                               NodeId requester, AccessGate* gate) {
-  if (!self->migration().armed()) {
-    return lt::StatusCode::kOk;
-  }
-  switch (self->migration().OpenAccess(addr, len, is_write, requester, 0, gate)) {
+  switch (self->migration().OpenAccess(addr, len, is_write, requester, gate)) {
     case MigrationState::Gate::kStale:
       return lt::StatusCode::kStaleHome;
     case MigrationState::Gate::kBusy:
@@ -325,12 +322,14 @@ void LiteInstance::RegisterInternalHandlers() {
     auto old_pieces = SliceChunks(meta.chunks, 0, meta.size);
     auto new_pieces = SliceChunks(new_chunks, 0, meta.size);
     std::vector<uint8_t> bounce(meta.size);
+    // One single-piece op per segment, in order: reads, then writes.
     for (const ChunkPiece& p : old_pieces) {
-      (void)self->engine_.OneSidedRead(p.node, p.addr, bounce.data() + p.user_off, p.len, pri);
+      (void)self->engine_.SubmitPieces({{p.node, p.addr, bounce.data() + p.user_off, p.len}},
+                                       /*is_read=*/true, pri);
     }
     for (const ChunkPiece& p : new_pieces) {
-      (void)self->engine_.OneSidedWrite(p.node, p.addr, bounce.data() + p.user_off, p.len, pri,
-                                        /*signaled=*/true);
+      (void)self->engine_.SubmitPieces({{p.node, p.addr, bounce.data() + p.user_off, p.len}},
+                                       /*is_read=*/false, pri);
     }
 
     // Install the new chunks, free the old, fan out updates.
@@ -441,9 +440,9 @@ void LiteInstance::RegisterInternalHandlers() {
           self->migration().CloseAccess(&dst_gate, /*success=*/true);
         } else {
           // The remote destination is gated by the op engine at post time.
-          Status st = self->engine_.OneSidedWrite(dst_node, dst_addr,
-                                                  self->node()->mem().Data(src_addr, len), len,
-                                                  pri, /*signaled=*/true);
+          Status st = self->engine_.SubmitPieces(
+              {{dst_node, dst_addr, self->node()->mem().Data(src_addr, len), len}},
+              /*is_read=*/false, pri);
           if (!st.ok()) {
             self->migration().CloseAccess(&src_gate, /*success=*/false);
             ReplyStatus(self, inc.token, st.code());

@@ -142,12 +142,11 @@ class LiteInstance {
   // consumes the handle.
   Status Wait(MemopHandle h) { return engine_.Wait(h); }
   // LT_wait_all: retires every outstanding async op of this instance
-  // (consuming their handles) and returns the first error, if any.
-  Status WaitAll() { return engine_.WaitAll(); }
-  // Per-handle LT_wait_all: same retirement, but every retired handle's
-  // final status is appended to `results` — errors past the first are not
-  // swallowed (a dead home fails each affected op with the same shape).
-  Status WaitAll(std::vector<std::pair<MemopHandle, Status>>* results) {
+  // (consuming their handles) and returns the first error, if any. With
+  // `results`, every retired handle's final status is appended — errors
+  // past the first are not swallowed (a dead home fails each affected op
+  // with the same shape).
+  Status WaitAll(std::vector<std::pair<MemopHandle, Status>>* results = nullptr) {
     return engine_.WaitAll(results);
   }
   // Outstanding (not yet retired) async ops.
@@ -327,6 +326,35 @@ class LiteInstance {
   static Status CheckAccess(const LhEntry& e, uint64_t offset, uint64_t len, uint32_t need) {
     return LmrTable::CheckAccess(e, offset, len, need);
   }
+
+  // ---- lh-level memop spine (memops.cc) ----
+  // Engine pieces for [offset, offset + len) of an LMR, each paired with its
+  // cursor into the user buffer `buf` (null for ops that move no user bytes).
+  static std::vector<OpEngine::OpDesc> PieceDescs(const std::vector<LmrChunk>& chunks,
+                                                  uint64_t offset, uint64_t len, void* buf);
+  // Pairs up source and destination pieces (both ordered by offset and
+  // covering the same length) into copy segments (LT_memcpy, migration).
+  struct CopySegment {
+    NodeId src_node;
+    PhysAddr src_addr;
+    NodeId dst_node;
+    PhysAddr dst_addr;
+    uint64_t len;
+  };
+  static std::vector<CopySegment> PairPieces(const std::vector<OpEngine::OpDesc>& src,
+                                             const std::vector<OpEngine::OpDesc>& dst);
+  // The one stale-home redirect loop of the blocking memops: runs `issue` on
+  // the pieces of [offset, offset + len) of `*entry`; after a kStaleHome NACK
+  // it re-resolves the LMR's home (RefreshStaleLh, and `also_lh` — LT_memcpy's
+  // other side — when given) and re-issues in full, at most
+  // kMaxStaleRedirects times.
+  using PieceIssuer = std::function<Status(const std::vector<OpEngine::OpDesc>&)>;
+  Status IssueRedirected(Lh lh, LhEntry* entry, uint64_t offset, uint64_t len, void* buf,
+                         const PieceIssuer& issue, Lh also_lh = 0, LhEntry* also = nullptr);
+  // Shared bodies of LT_read/LT_write and LT_fetch-add/LT_test-set.
+  Status ReadWrite(Lh lh, uint64_t offset, void* buf, uint64_t len, Priority pri, bool is_read);
+  StatusOr<uint64_t> LhAtomic(Lh lh, uint64_t offset, bool is_cas, uint64_t compare_add,
+                              uint64_t swap);
 
   // Chunk allocation (local service for kFnAllocChunks and local mallocs).
   StatusOr<std::vector<LmrChunk>> AllocLocalChunks(uint64_t size);

@@ -293,97 +293,75 @@ Status LiteInstance::Unmap(Lh lh) {
                         static_cast<uint32_t>(w.bytes().size()));
 }
 
-// ------------------------------------------------------ LT_read / LT_write
+// ------------------------------------------------------ lh-level memop spine
 
-Status LiteInstance::Read(Lh lh, uint64_t offset, void* buf, uint64_t len, Priority pri) {
-  if (len == 0) {
-    return Status::Ok();
+std::vector<OpEngine::OpDesc> LiteInstance::PieceDescs(const std::vector<LmrChunk>& chunks,
+                                                       uint64_t offset, uint64_t len, void* buf) {
+  std::vector<OpEngine::OpDesc> descs;
+  for (const ChunkPiece& p : SliceChunks(chunks, offset, len)) {
+    descs.push_back(OpEngine::OpDesc{
+        p.node, p.addr, buf == nullptr ? nullptr : static_cast<uint8_t*>(buf) + p.user_off, p.len});
   }
-  // No-op when a LiteClient span is already active or sampling is off.
-  lt::telemetry::ScopedSpan span(&node_->telemetry().tracer(), "LT_read");
-  // Outermost claim only: when LiteClient already holds the record this is
-  // inert and the stamps below flow into the client-level op.
-  ScopedOpAttr attr(&node_->telemetry().latency(), "read", len, static_cast<int>(pri));
-  const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(params().lite_map_check_ns);
-  auto entry = GetLh(lh);
-  if (!entry.ok()) {
-    return entry.status();
-  }
-  LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, len, kPermRead));
-  AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
-  lt::telemetry::StampStage(lt::telemetry::TraceStage::kLhCheck, len);
+  return descs;
+}
+
+Status LiteInstance::IssueRedirected(Lh lh, LhEntry* entry, uint64_t offset, uint64_t len,
+                                     void* buf, const PieceIssuer& issue, Lh also_lh,
+                                     LhEntry* also) {
   Status st = Status::Ok();
   for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
-    auto pieces = SliceChunks(entry->chunks, offset, len);
-    if (pieces.size() == 1) {
-      // Single-piece fast path: one WR, posted and waited inline.
-      const ChunkPiece& piece = pieces[0];
-      st = engine_.OneSidedRead(piece.node, piece.addr,
-                                static_cast<uint8_t*>(buf) + piece.user_off, piece.len, pri);
-    } else {
-      // Multi-piece: issue every piece back-to-back (doorbell-batched per QP),
-      // then wait for them all — pieces on different chunks/nodes overlap.
-      std::vector<OpEngine::OpDesc> descs;
-      descs.reserve(pieces.size());
-      for (const ChunkPiece& piece : pieces) {
-        descs.push_back(OpEngine::OpDesc{piece.node, piece.addr,
-                                         static_cast<uint8_t*>(buf) + piece.user_off, piece.len});
-      }
-      st = engine_.SubmitPieces(descs, /*is_read=*/true, pri);
-    }
+    st = issue(PieceDescs(entry->chunks, offset, len, buf));
     if (st.code() != lt::StatusCode::kStaleHome) {
       return st;
     }
-    // The LMR migrated mid-op: refresh the mapping and re-issue in full.
+    // The LMR migrated mid-op: refresh the mapping and re-issue in full
+    // (idempotent: reads re-read, writes and memsets re-copy the same bytes,
+    // and an atomic NACKed by the gate was never applied).
     const uint64_t redo_t0 = lt::NowNs();
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
+    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, entry));
+    if (also != nullptr) {
+      LT_RETURN_IF_ERROR(RefreshStaleLh(also_lh, also));
+    }
     AttrAdd(LatStage::kLatDetour, lt::NowNs() - redo_t0);
   }
   return st;
 }
 
+// ------------------------------------------------------ LT_read / LT_write
+
+Status LiteInstance::Read(Lh lh, uint64_t offset, void* buf, uint64_t len, Priority pri) {
+  return ReadWrite(lh, offset, buf, len, pri, /*is_read=*/true);
+}
+
 Status LiteInstance::Write(Lh lh, uint64_t offset, const void* buf, uint64_t len, Priority pri) {
+  return ReadWrite(lh, offset, const_cast<void*>(buf), len, pri, /*is_read=*/false);
+}
+
+Status LiteInstance::ReadWrite(Lh lh, uint64_t offset, void* buf, uint64_t len, Priority pri,
+                               bool is_read) {
   if (len == 0) {
     return Status::Ok();
   }
-  lt::telemetry::ScopedSpan span(&node_->telemetry().tracer(), "LT_write");
-  ScopedOpAttr attr(&node_->telemetry().latency(), "write", len, static_cast<int>(pri));
+  // No-op when a LiteClient span is already active or sampling is off.
+  lt::telemetry::ScopedSpan span(&node_->telemetry().tracer(), is_read ? "LT_read" : "LT_write");
+  // Outermost claim only: when LiteClient already holds the record this is
+  // inert and the stamps below flow into the client-level op.
+  ScopedOpAttr attr(&node_->telemetry().latency(), is_read ? "read" : "write", len,
+                    static_cast<int>(pri));
   const uint64_t submit_t0 = lt::NowNs();
   SpinFor(params().lite_map_check_ns);
   auto entry = GetLh(lh);
   if (!entry.ok()) {
     return entry.status();
   }
-  LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, len, kPermWrite));
+  LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, len, is_read ? kPermRead : kPermWrite));
   AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
   lt::telemetry::StampStage(lt::telemetry::TraceStage::kLhCheck, len);
-  Status st = Status::Ok();
-  for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
-    auto pieces = SliceChunks(entry->chunks, offset, len);
-    if (pieces.size() == 1) {
-      const ChunkPiece& piece = pieces[0];
-      st = engine_.OneSidedWrite(piece.node, piece.addr,
-                                 static_cast<const uint8_t*>(buf) + piece.user_off, piece.len,
-                                 pri, /*signaled=*/true);
-    } else {
-      std::vector<OpEngine::OpDesc> descs;
-      descs.reserve(pieces.size());
-      for (const ChunkPiece& piece : pieces) {
-        descs.push_back(OpEngine::OpDesc{
-            piece.node, piece.addr,
-            const_cast<uint8_t*>(static_cast<const uint8_t*>(buf) + piece.user_off), piece.len});
-      }
-      st = engine_.SubmitPieces(descs, /*is_read=*/false, pri);
-    }
-    if (st.code() != lt::StatusCode::kStaleHome) {
-      return st;
-    }
-    const uint64_t redo_t0 = lt::NowNs();
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
-    AttrAdd(LatStage::kLatDetour, lt::NowNs() - redo_t0);
-  }
-  return st;
+  // One piece is the single-WR latency path; several are issued back-to-back
+  // and waited on together, so pieces on different chunks/nodes overlap.
+  return IssueRedirected(lh, &*entry, offset, len, buf, [&](const auto& pieces) {
+    return engine_.SubmitPieces(pieces, is_read, pri);
+  });
 }
 
 // ------------------------------------------- LT_memset / memcpy / memmove
@@ -403,53 +381,29 @@ Status LiteInstance::Memset(Lh lh, uint64_t offset, uint8_t value, uint64_t len,
 
   // Send one command per involved node; each node memsets its own pieces
   // locally (cheaper than shipping the pattern over the wire, Sec. 7.1).
-  Status st = Status::Ok();
-  for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
-    auto pieces = SliceChunks(entry->chunks, offset, len);
-    std::map<NodeId, std::vector<ChunkPiece>> by_node;
-    for (const ChunkPiece& p : pieces) {
+  return IssueRedirected(lh, &*entry, offset, len, nullptr, [&](const auto& pieces) {
+    std::map<NodeId, std::vector<OpEngine::OpDesc>> by_node;
+    for (const OpEngine::OpDesc& p : pieces) {
       by_node[p.node].push_back(p);
     }
-    st = Status::Ok();
     for (const auto& [target, group] : by_node) {
       WireWriter w;
       w.Put<uint8_t>(0);  // op 0 = memset
       w.Put<uint8_t>(static_cast<uint8_t>(pri));
       w.Put<uint8_t>(value);
       w.Put<uint32_t>(static_cast<uint32_t>(group.size()));
-      for (const ChunkPiece& p : group) {
+      for (const OpEngine::OpDesc& p : group) {
         w.Put<PhysAddr>(p.addr);
         w.Put<uint64_t>(p.len);
       }
-      st = InternalRpc(target, kFnMemOp, w.bytes(), nullptr, kDefaultTimeout, pri);
-      if (!st.ok()) {
-        break;
-      }
+      LT_RETURN_IF_ERROR(InternalRpc(target, kFnMemOp, w.bytes(), nullptr, kDefaultTimeout, pri));
     }
-    if (st.code() != lt::StatusCode::kStaleHome) {
-      return st;
-    }
-    // Re-issuing the whole memset after a redirect is idempotent: the pattern
-    // write repeats on nodes that already applied it.
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
-  }
-  return st;
+    return Status::Ok();
+  });
 }
 
-namespace {
-
-// Pairs up source and destination piece lists (both ordered by user offset
-// and covering the same total length) into copy segments.
-struct CopySegment {
-  NodeId src_node;
-  PhysAddr src_addr;
-  NodeId dst_node;
-  PhysAddr dst_addr;
-  uint64_t len;
-};
-
-std::vector<CopySegment> PairPieces(const std::vector<LiteInstance::ChunkPiece>& src,
-                                    const std::vector<LiteInstance::ChunkPiece>& dst) {
+std::vector<LiteInstance::CopySegment> LiteInstance::PairPieces(
+    const std::vector<OpEngine::OpDesc>& src, const std::vector<OpEngine::OpDesc>& dst) {
   std::vector<CopySegment> out;
   size_t si = 0;
   size_t di = 0;
@@ -473,8 +427,6 @@ std::vector<CopySegment> PairPieces(const std::vector<LiteInstance::ChunkPiece>&
   return out;
 }
 
-}  // namespace
-
 Status LiteInstance::Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, uint64_t len,
                             Priority pri) {
   if (len == 0) {
@@ -494,17 +446,15 @@ Status LiteInstance::Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, 
   LT_RETURN_IF_ERROR(CheckAccess(*dst_entry, dst_off, len, kPermWrite));
   lt::telemetry::StampStage(lt::telemetry::TraceStage::kLhCheck, len);
 
-  Status st = Status::Ok();
-  for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
-    auto segments = PairPieces(SliceChunks(src_entry->chunks, src_off, len),
-                               SliceChunks(dst_entry->chunks, dst_off, len));
+  // Either side may migrate; a redirect refreshes both mappings and re-pairs.
+  auto issue = [&](const std::vector<OpEngine::OpDesc>& src_pieces) {
     // One LT_RPC to each node storing source data; that node either memcpys
     // locally or LT_writes to the destination node (paper Sec. 7.1).
     std::map<NodeId, std::vector<CopySegment>> by_src;
-    for (const CopySegment& seg : segments) {
+    for (const CopySegment& seg :
+         PairPieces(src_pieces, PieceDescs(dst_entry->chunks, dst_off, len, nullptr))) {
       by_src[seg.src_node].push_back(seg);
     }
-    st = Status::Ok();
     for (const auto& [target, group] : by_src) {
       WireWriter w;
       w.Put<uint8_t>(1);  // op 1 = memcpy
@@ -516,19 +466,11 @@ Status LiteInstance::Memcpy(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, 
         w.Put<PhysAddr>(seg.dst_addr);
         w.Put<uint64_t>(seg.len);
       }
-      st = InternalRpc(target, kFnMemOp, w.bytes(), nullptr, kDefaultTimeout, pri);
-      if (!st.ok()) {
-        break;
-      }
+      LT_RETURN_IF_ERROR(InternalRpc(target, kFnMemOp, w.bytes(), nullptr, kDefaultTimeout, pri));
     }
-    if (st.code() != lt::StatusCode::kStaleHome) {
-      return st;
-    }
-    // Either side may have migrated; refresh both mappings and re-pair.
-    LT_RETURN_IF_ERROR(RefreshStaleLh(src, &*src_entry));
-    LT_RETURN_IF_ERROR(RefreshStaleLh(dst, &*dst_entry));
-  }
-  return st;
+    return Status::Ok();
+  };
+  return IssueRedirected(src, &*src_entry, src_off, len, nullptr, issue, dst, &*dst_entry);
 }
 
 Status LiteInstance::Memmove(Lh dst, uint64_t dst_off, Lh src, uint64_t src_off, uint64_t len,
@@ -581,32 +523,16 @@ Status LiteInstance::GrantMaster(const std::string& name, NodeId new_master) {
 // --------------------------------------------------------------- atomics
 
 StatusOr<uint64_t> LiteInstance::FetchAdd(Lh lh, uint64_t offset, uint64_t delta) {
-  ScopedOpAttr attr(&node_->telemetry().latency(), "atomic", 8,
-                    static_cast<int>(Priority::kHigh));
-  const uint64_t submit_t0 = lt::NowNs();
-  SpinFor(params().lite_map_check_ns);
-  auto entry = GetLh(lh);
-  if (!entry.ok()) {
-    return entry.status();
-  }
-  LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, 8, kPermWrite));
-  AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
-  for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
-    auto pieces = SliceChunks(entry->chunks, offset, 8);
-    if (pieces.size() != 1) {
-      return Status::InvalidArgument("atomic target straddles LMR chunks");
-    }
-    auto old_value = engine_.RemoteAtomic(pieces[0].node, pieces[0].addr, /*is_cas=*/false, delta, 0);
-    if (old_value.ok() || old_value.status().code() != lt::StatusCode::kStaleHome) {
-      return old_value;
-    }
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
-  }
-  return Status::Unavailable("LMR home still settling after migration");
+  return LhAtomic(lh, offset, /*is_cas=*/false, delta, 0);
 }
 
 StatusOr<uint64_t> LiteInstance::TestSet(Lh lh, uint64_t offset, uint64_t expected,
                                          uint64_t desired) {
+  return LhAtomic(lh, offset, /*is_cas=*/true, expected, desired);
+}
+
+StatusOr<uint64_t> LiteInstance::LhAtomic(Lh lh, uint64_t offset, bool is_cas,
+                                          uint64_t compare_add, uint64_t swap) {
   ScopedOpAttr attr(&node_->telemetry().latency(), "atomic", 8,
                     static_cast<int>(Priority::kHigh));
   const uint64_t submit_t0 = lt::NowNs();
@@ -617,19 +543,16 @@ StatusOr<uint64_t> LiteInstance::TestSet(Lh lh, uint64_t offset, uint64_t expect
   }
   LT_RETURN_IF_ERROR(CheckAccess(*entry, offset, 8, kPermWrite));
   AttrAdd(LatStage::kLatSubmit, lt::NowNs() - submit_t0);
-  for (int attempt = 0; attempt <= kMaxStaleRedirects; ++attempt) {
-    auto pieces = SliceChunks(entry->chunks, offset, 8);
+  uint64_t old_value = 0;
+  LT_RETURN_IF_ERROR(IssueRedirected(lh, &*entry, offset, 8, nullptr, [&](const auto& pieces) {
     if (pieces.size() != 1) {
       return Status::InvalidArgument("atomic target straddles LMR chunks");
     }
-    auto old_value =
-        engine_.RemoteAtomic(pieces[0].node, pieces[0].addr, /*is_cas=*/true, expected, desired);
-    if (old_value.ok() || old_value.status().code() != lt::StatusCode::kStaleHome) {
-      return old_value;
-    }
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
-  }
-  return Status::Unavailable("LMR home still settling after migration");
+    auto r = engine_.RemoteAtomic(pieces[0].node, pieces[0].addr, is_cas, compare_add, swap);
+    old_value = r.value_or(0);
+    return r.status();
+  }));
+  return old_value;
 }
 
 // ------------------------------------------------------- distributed locks

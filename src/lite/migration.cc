@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "src/common/logging.h"
 #include "src/common/timing.h"
@@ -98,15 +99,19 @@ void MigrationState::AddDirtyLocked(MigrationRecord* rec, PhysAddr addr, uint64_
 }
 
 MigrationState::Gate MigrationState::OpenAccess(PhysAddr addr, uint64_t len, bool is_write,
-                                                NodeId requester, uint64_t park_cap_real_ns,
-                                                AccessGate* gate) {
-  std::shared_ptr<MigrationRecord> rec = FindRange(addr, len);
+                                                NodeId requester, AccessGate* gate) {
+  gate->grace_slot = static_cast<int>(grace_period_.load() & 1);
+  unguarded_[gate->grace_slot].fetch_add(1);
+  std::shared_ptr<MigrationRecord> rec = armed_.load() != 0 ? FindRange(addr, len) : nullptr;
   if (rec == nullptr) {
     return Gate::kClear;
   }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::nanoseconds(park_cap_real_ns == 0 ? kParkCapRealNs
-                                                                       : park_cap_real_ns);
+  auto leave_grace = [&] {
+    unguarded_[gate->grace_slot].fetch_sub(1);
+    gate->grace_slot = -1;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::nanoseconds(kParkCapRealNs);
   std::unique_lock<std::mutex> lock(rec->mu);
   bool parked = false;
   while (true) {
@@ -119,6 +124,7 @@ MigrationState::Gate MigrationState::OpenAccess(PhysAddr addr, uint64_t len, boo
         if (parked) {
           lt::SyncClockTo(unpark);
         }
+        leave_grace();
         if (stale_nacks_ != nullptr) {
           stale_nacks_->Inc();
         }
@@ -145,6 +151,7 @@ MigrationState::Gate MigrationState::OpenAccess(PhysAddr addr, uint64_t len, boo
         gate->addr = addr;
         gate->len = len;
         gate->is_write = is_write;
+        leave_grace();
         return Gate::kClear;
       case MigrationPhase::kIdle:
       case MigrationPhase::kFence: {
@@ -160,6 +167,7 @@ MigrationState::Gate MigrationState::OpenAccess(PhysAddr addr, uint64_t len, boo
         }
         if (rec->cv.wait_until(lock, deadline) == std::cv_status::timeout &&
             (rec->phase == MigrationPhase::kFence || rec->phase == MigrationPhase::kIdle)) {
+          leave_grace();
           return Gate::kBusy;
         }
         break;
@@ -169,6 +177,10 @@ MigrationState::Gate MigrationState::OpenAccess(PhysAddr addr, uint64_t len, boo
 }
 
 void MigrationState::CloseAccess(AccessGate* gate, bool success) {
+  if (gate->grace_slot >= 0) {
+    unguarded_[gate->grace_slot].fetch_sub(1);
+    gate->grace_slot = -1;
+  }
   if (gate->rec == nullptr) {
     return;
   }
@@ -206,27 +218,40 @@ StatusOr<std::shared_ptr<MigrationRecord>> MigrationState::Begin(
   }
   rec->phase = MigrationPhase::kMirror;
 
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = records_.find(name);
-  if (it != records_.end()) {
-    // A clean abort leaves an inert record. A committed tombstone is stale
-    // once the LMR has migrated back here at an epoch >= the one it left
-    // with (its quarantined ranges stay armed below). Either one may be
-    // replaced; anything else is a migration genuinely in flight.
-    const bool inert = it->second->phase == MigrationPhase::kAborted;
-    const bool superseded = it->second->phase == MigrationPhase::kCommitted &&
-                            it->second->new_epoch <= old_epoch;
-    if (!inert && !superseded) {
-      return Status::FailedPrecondition("LMR already migrating or already migrated away");
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = records_.find(name);
+    if (it != records_.end()) {
+      // A clean abort leaves an inert record. A committed tombstone is stale
+      // once the LMR has migrated back here at an epoch >= the one it left
+      // with (its quarantined ranges stay armed below). Either one may be
+      // replaced; anything else is a migration genuinely in flight.
+      const bool inert = it->second->phase == MigrationPhase::kAborted;
+      const bool superseded = it->second->phase == MigrationPhase::kCommitted &&
+                              it->second->new_epoch <= old_epoch;
+      if (!inert && !superseded) {
+        return Status::FailedPrecondition("LMR already migrating or already migrated away");
+      }
+      records_.erase(it);
     }
-    records_.erase(it);
+    for (const LmrChunk& c : chunks) {
+      ranges_[c.addr] = RangeRef{c.addr + c.size, rec};
+    }
+    records_[name] = rec;
+    armed_.store(records_.size() + ranges_.size());
   }
-  for (const LmrChunk& c : chunks) {
-    ranges_[c.addr] = RangeRef{c.addr + c.size, rec};
-  }
-  records_[name] = rec;
-  armed_.store(records_.size() + ranges_.size(), std::memory_order_relaxed);
+  // Accesses that looked their range up before it was published may still
+  // be landing without a token; the mirror copy must not read before them.
+  AwaitUnguarded();
   return rec;
+}
+
+void MigrationState::AwaitUnguarded() {
+  std::lock_guard<std::mutex> lock(grace_mu_);
+  const uint64_t old_period = grace_period_.fetch_add(1);
+  while (unguarded_[old_period & 1].load() != 0) {
+    std::this_thread::yield();
+  }
 }
 
 void MigrationState::SetPhase(const std::shared_ptr<MigrationRecord>& rec, MigrationPhase phase) {
@@ -389,28 +414,11 @@ Status LiteInstance::CopyLmrIntervals(const std::vector<LmrChunk>& old_chunks,
       continue;
     }
     const uint64_t len = std::min(end, lmr_size) - begin;
-    auto src_pieces = SliceChunks(old_chunks, begin, len);
-    auto dst_pieces = SliceChunks(new_chunks, begin, len);
-    size_t si = 0;
-    size_t di = 0;
-    uint64_t soff = 0;
-    uint64_t doff = 0;
-    while (si < src_pieces.size() && di < dst_pieces.size()) {
-      const uint64_t take = std::min(src_pieces[si].len - soff, dst_pieces[di].len - doff);
-      descs.push_back(OpEngine::OpDesc{
-          dst_pieces[di].node, dst_pieces[di].addr + doff,
-          node_->mem().Data(src_pieces[si].addr + soff, take), take});
-      total += take;
-      soff += take;
-      doff += take;
-      if (soff == src_pieces[si].len) {
-        ++si;
-        soff = 0;
-      }
-      if (doff == dst_pieces[di].len) {
-        ++di;
-        doff = 0;
-      }
+    for (const CopySegment& seg : PairPieces(PieceDescs(old_chunks, begin, len, nullptr),
+                                             PieceDescs(new_chunks, begin, len, nullptr))) {
+      descs.push_back(OpEngine::OpDesc{seg.dst_node, seg.dst_addr,
+                                       node_->mem().Data(seg.src_addr, seg.len), seg.len});
+      total += seg.len;
     }
   }
   if (bytes_out != nullptr) {
@@ -878,22 +886,9 @@ Status LiteInstance::RedoMemopAfterStale(Lh lh, uint64_t offset, void* buf, uint
   // Submit against the current mapping first: a concurrent redo (another op
   // of the same lh) may already have refreshed it, in which case a refresh
   // here would see no epoch advance and fail spuriously.
-  Status st = Status::Ok();
-  for (int i = 0; i <= kMaxStaleRedirects; ++i) {
-    auto pieces = SliceChunks(entry->chunks, offset, len);
-    std::vector<OpEngine::OpDesc> descs;
-    descs.reserve(pieces.size());
-    for (const ChunkPiece& p : pieces) {
-      descs.push_back(OpEngine::OpDesc{p.node, p.addr, static_cast<uint8_t*>(buf) + p.user_off,
-                                       p.len});
-    }
-    st = engine_.SubmitPieces(descs, is_read, pri);
-    if (st.code() != lt::StatusCode::kStaleHome) {
-      return st;
-    }
-    LT_RETURN_IF_ERROR(RefreshStaleLh(lh, &*entry));
-  }
-  return st;
+  return IssueRedirected(lh, &*entry, offset, len, buf, [&](const auto& pieces) {
+    return engine_.SubmitPieces(pieces, is_read, pri);
+  });
 }
 
 // ======================================================= control handlers

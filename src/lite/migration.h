@@ -107,6 +107,7 @@ struct AccessGate {
   PhysAddr addr = 0;
   uint64_t len = 0;
   bool is_write = false;
+  int grace_slot = -1;  // Grace-period slot counting an access with no token.
 };
 
 class MigrationState {
@@ -125,17 +126,14 @@ class MigrationState {
   void RegisterTelemetry(lt::telemetry::Registry* registry,
                          lt::telemetry::Journal* journal);
 
-  // True once any migration record (active or tombstone) exists on this
-  // node. Single relaxed load: the idle-path cost of the whole subsystem.
-  bool armed() const { return armed_.load(std::memory_order_relaxed) != 0; }
-
-  // Gate around one one-sided access to this node's memory. `park_poll_ns`
-  // bounds each fence re-check (virtual charge); `park_cap_real_ns` bounds
-  // the total real-time fence wait before giving up with kBusy.
+  // Gate around one one-sided access to this node's memory. A fence parks
+  // the caller (real time, zero virtual charge) for at most kParkCapRealNs
+  // before giving up with kBusy. On a node that never migrated anything the
+  // cost is one counter increment (and its decrement at CloseAccess).
   Gate OpenAccess(PhysAddr addr, uint64_t len, bool is_write, NodeId requester,
-                  uint64_t park_cap_real_ns, AccessGate* gate);
-  // Releases the token (and heals the arming race: a write that opened
-  // before the record armed but completed after it is dirty-logged here).
+                  AccessGate* gate);
+  // Releases the token (dirty-logging a landed write) or the grace-period
+  // count of an access that ran without one.
   void CloseAccess(AccessGate* gate, bool success);
 
   // ---- Coordinator side (source node) ----
@@ -197,15 +195,28 @@ class MigrationState {
   static void AddDirtyLocked(MigrationRecord* rec, PhysAddr addr, uint64_t len);
 
   std::shared_ptr<MigrationRecord> FindRange(PhysAddr addr, uint64_t len) const;
+  // Ends the current grace period: waits (real time) until every access
+  // counted in it has closed.
+  void AwaitUnguarded();
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<MigrationRecord>> records_;
   std::map<PhysAddr, RangeRef> ranges_;  // Keyed by range start.
   std::unordered_map<std::string, StagedInstall> staged_;
-  // records_.size() + ranges_.size(), republished under mu_. Counts ranges
-  // too: a superseded tombstone leaves records_ but its quarantined ranges
-  // must keep gating.
+  // records_.size() + ranges_.size(), republished under mu_; zero lets an
+  // access skip the range lookup. Counts ranges too: a superseded tombstone
+  // leaves records_ but its quarantined ranges must keep gating.
   std::atomic<uint64_t> armed_{0};
+  // Grace period for accesses that proceed without a token (no record
+  // covers their range, or it aborted): each one is counted in the slot of
+  // the current period from before its range lookup until CloseAccess.
+  // Begin publishes the new ranges, flips the period and waits for the old
+  // slot to drain, so an access that missed the new record has landed
+  // before the first mirror copy reads the range. grace_mu_ serializes
+  // concurrent Begins' periods.
+  std::mutex grace_mu_;
+  std::atomic<uint64_t> grace_period_{0};
+  std::atomic<uint64_t> unguarded_[2] = {};
 };
 
 }  // namespace lite

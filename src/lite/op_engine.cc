@@ -1,6 +1,7 @@
-// OpEngine implementation: the blocking one-sided issue/retire path (moved
-// from instance.cc), the multi-piece "issue all, wait all" submission, and
-// the async completion-handle machinery (moved from memops_async.cc).
+// OpEngine implementation: the shared steps (gated Post, LoopbackCopy, the
+// PostAndWait/Repost retry loop), the blocking submitters built from them
+// (SubmitPieces, RemoteAtomic, the unsignaled RPC posts), and the async
+// completion-handle machinery.
 //
 // Concurrency: one mutex (async_mu_) covers the op table, the per-stream
 // signaling state, and the shared harvest map (a CQE taken on behalf of a
@@ -23,7 +24,6 @@ namespace lite {
 
 using lt::Completion;
 using lt::NowNs;
-using lt::Qp;
 using lt::SpinFor;
 using lt::SyncToBusy;
 using lt::WaitMode;
@@ -47,15 +47,13 @@ bool TransientCode(const Status& s) {
 // Issuer-side migration gate (the simulated analogue of the responder NIC
 // checking its protection tables): consults `target`'s migration guard before
 // a data access to its memory. kOk means proceed — the caller must
-// CloseAccess(gate, landed) once the post's outcome is known. Costs one
-// relaxed load when the target has never migrated anything.
+// CloseAccess(gate, landed) once the post's outcome is known.
 Status GateAccess(LiteInstance* issuer, LiteInstance* target, PhysAddr addr, uint64_t len,
                   bool is_write, AccessGate* gate) {
-  if (target == nullptr || !target->migration().armed()) {
+  if (target == nullptr) {
     return Status::Ok();
   }
-  switch (target->migration().OpenAccess(addr, len, is_write, issuer->node_id(),
-                                         /*park_cap_real_ns=*/0, gate)) {
+  switch (target->migration().OpenAccess(addr, len, is_write, issuer->node_id(), gate)) {
     case MigrationState::Gate::kStale:
       return Status::StaleHome("target LMR migrated away; re-resolve its home");
     case MigrationState::Gate::kBusy:
@@ -66,9 +64,10 @@ Status GateAccess(LiteInstance* issuer, LiteInstance* target, PhysAddr addr, uin
   return Status::Ok();
 }
 
-// True for WRs that touch LMR data at the destination and therefore go
+// True for WRs that may touch LMR data at the destination and therefore go
 // through the migration gate. Zero-length writes (async flush fences) and
-// ring/IMM traffic are exempt.
+// write-imm RPC traffic are exempt; other ring memory (head mirrors) never
+// lies in a migrating range, so its gate check always clears.
 bool GatedDataOp(const lt::WorkRequest& wr) {
   switch (wr.opcode) {
     case WrOpcode::kRead:
@@ -114,7 +113,91 @@ uint64_t OpEngine::EffectiveTimeoutNs(uint64_t requested_ns) const {
   return std::min(t, kLongTimeoutCapNs);
 }
 
-// ------------------------------------------------------- one-sided engine
+// ----------------------------------------------------------- shared steps
+
+void OpEngine::Admit(Priority pri, uint64_t len) {
+  const uint64_t qos_t0 = NowNs();
+  inst_->qos_.Admit(pri, len);
+  AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
+}
+
+WorkRequest OpEngine::DataWr(const OpDesc& piece, bool is_read, bool batch) {
+  WorkRequest wr;
+  wr.opcode = is_read ? WrOpcode::kRead : WrOpcode::kWrite;
+  wr.host_local = piece.local;
+  wr.length = piece.len;
+  wr.rkey = inst_->peer_global_rkey_[piece.node];
+  wr.remote_addr = piece.addr;
+  wr.signaled = true;
+  wr.doorbell_hint = batch;
+  wr.inline_data = batch && !is_read;  // The RNIC applies its rnic_inline_max cut.
+  wr.wr_id = NextWrId();
+  return wr;
+}
+
+Status OpEngine::Post(const TransportHandle& h, WorkRequest* wr, bool* recovered) {
+  Transport& tr = *inst_->transport_;
+  // Migration gate, opened per post (a retry must re-check the phase: the
+  // fence may have committed in between). The gate may park here — real-time
+  // wait, zero virtual charge — until the fence resolves.
+  LiteInstance* peer = inst_->Peer(h.dst);
+  AccessGate gate;
+  if (GatedDataOp(*wr)) {
+    const bool atomic = wr->opcode == WrOpcode::kFetchAdd || wr->opcode == WrOpcode::kCmpSwap;
+    LT_RETURN_IF_ERROR(GateAccess(inst_, peer, wr->remote_addr, atomic ? 8 : wr->length,
+                                  wr->opcode != WrOpcode::kRead, &gate));
+  }
+  Status posted = Status::Ok();
+  const uint64_t post_t0 = NowNs();
+  {
+    // The QP lock covers only the post; waiting happens outside so threads
+    // sharing a pool QP overlap their in-flight ops (the whole point of the
+    // shared pool, Sec. 6.1). Prepare recovers an errored QP and, under DC,
+    // re-attaches a stolen slot to this handle's destination.
+    std::lock_guard<std::mutex> lock(tr.Mu(h));
+    const bool reset = tr.Prepare(h);
+    if (recovered != nullptr) {
+      *recovered = reset;
+    }
+    posted = inst_->rnic().PostSend(tr.Qp(h), *wr);
+  }
+  AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
+  // Data movement is synchronous inside PostSend (the simulated DMA), so the
+  // gate closes right after the post: an Ok post means the bytes are at the
+  // destination (or dirty-logged harmlessly if the fabric dropped the
+  // request — the error surfaces via the CQE).
+  if (peer != nullptr) {
+    peer->migration().CloseAccess(&gate, posted.ok());
+  }
+  return posted;
+}
+
+Status OpEngine::LoopbackCopy(const OpDesc& piece, bool is_read) {
+  AccessGate gate;
+  LT_RETURN_IF_ERROR(GateAccess(inst_, inst_, piece.addr, piece.len, !is_read, &gate));
+  const uint64_t copy_t0 = NowNs();
+  if (is_read) {
+    inst_->LocalCopyOut(piece.local, piece.addr, piece.len);
+  } else {
+    inst_->LocalCopyIn(piece.addr, piece.local, piece.len);
+  }
+  AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
+  inst_->migration().CloseAccess(&gate, /*success=*/true);
+  return Status::Ok();
+}
+
+std::optional<Completion> OpEngine::AwaitCqe(const TransportHandle& h, uint64_t wr_id) {
+  const uint64_t wait_t0 = NowNs();
+  auto c = inst_->transport_->Qp(h)->send_cq()->WaitPollFor(
+      wr_id, inst_->params().lite_rpc_timeout_ns, WaitMode::kBusyPoll);
+  const uint64_t wait_dt = NowNs() - wait_t0;
+  if (c.has_value() && c->status.ok()) {
+    AttrAddSplit(wait_dt, c->lat);
+  } else {
+    AttrAdd(LatStage::kLatDetour, wait_dt);
+  }
+  return c;
+}
 
 StatusOr<Completion> OpEngine::PostAndWait(NodeId dst, WorkRequest* wr, Priority pri,
                                            const TransportHandle* pinned) {
@@ -141,237 +224,134 @@ StatusOr<Completion> OpEngine::PostAndWait(NodeId dst, WorkRequest* wr, Priority
     if (!tr.Valid(h)) {
       return Status::Unavailable("no QP to destination node");
     }
-    // Migration gate, opened per attempt (a retry must re-check the phase:
-    // the fence may have committed in between). The gate may park here —
-    // real-time wait, zero virtual charge — until the fence resolves.
-    LiteInstance* peer = inst_->Peer(dst);
-    AccessGate gate;
-    const bool gated = GatedDataOp(*wr) && peer != nullptr && peer->migration().armed();
-    if (gated) {
-      const bool is_write = wr->opcode != WrOpcode::kRead;
-      const uint64_t gate_len =
-          (wr->opcode == WrOpcode::kFetchAdd || wr->opcode == WrOpcode::kCmpSwap) ? 8
-                                                                                  : wr->length;
-      Status g = GateAccess(inst_, peer, wr->remote_addr, gate_len, is_write, &gate);
-      if (g.code() == lt::StatusCode::kStaleHome) {
-        return g;  // Non-transient: the caller must re-resolve the home.
-      }
-      if (!g.ok()) {
-        last = g;  // Fence busy: transient, retry with backoff.
-        continue;
-      }
-    }
-    Qp* qp = tr.Qp(h);
     wr->wr_id = NextWrId();
-    Status posted = Status::Ok();
-    const uint64_t post_t0 = NowNs();
-    {
-      // The QP lock covers only the post; waiting happens outside so threads
-      // sharing a pool QP overlap their in-flight ops (the whole point of
-      // the shared pool, Sec. 6.1). Prepare recovers an errored QP and, under
-      // DC, re-attaches a stolen slot to this handle's destination.
-      std::lock_guard<std::mutex> lock(tr.Mu(h));
-      tr.Prepare(h);
-      posted = inst_->rnic().PostSend(qp, *wr);
-    }
-    AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
-    // Data movement is synchronous inside PostSend (the simulated DMA), so
-    // the gate closes right after the post: an Ok post means the bytes are
-    // at the destination (or dirty-logged harmlessly if the fabric dropped
-    // the request — the error surfaces via the CQE below).
-    if (gated) {
-      peer->migration().CloseAccess(&gate, posted.ok());
-    }
+    Status posted = Post(h, wr);
     if (!posted.ok()) {
       last = posted;
-      if (posted.code() == lt::StatusCode::kFailedPrecondition) {
-        continue;  // Lost a race to a concurrent error; recover and retry.
+      // A fence still busy at the gate, or a post that lost a race to a
+      // concurrent QP error: transient, recover and retry. kStaleHome is
+      // final here — the caller must re-resolve the home.
+      if (posted.code() == lt::StatusCode::kUnavailable ||
+          posted.code() == lt::StatusCode::kFailedPrecondition) {
+        continue;
       }
       return posted;
     }
-    const uint64_t wait_t0 = NowNs();
-    auto c = qp->send_cq()->WaitPollFor(wr->wr_id, inst_->params().lite_rpc_timeout_ns,
-                                        WaitMode::kBusyPoll);
-    const uint64_t wait_dt = NowNs() - wait_t0;
+    auto c = AwaitCqe(h, wr->wr_id);
     if (!c.has_value()) {
-      AttrAdd(LatStage::kLatDetour, wait_dt);
       last = Status::Timeout("one-sided completion timeout");
       continue;
     }
     if (c->status.ok()) {
-      AttrAddSplit(wait_dt, c->lat);
       return *c;
     }
-    AttrAdd(LatStage::kLatDetour, wait_dt);
     last = c->status;
-    const lt::StatusCode code = last.code();
-    if (code != lt::StatusCode::kUnavailable && code != lt::StatusCode::kTimeout) {
+    if (!TransientCode(last)) {
       return last;  // Non-transient (permission, bounds): do not retry.
     }
   }
   return last;
 }
 
-Status OpEngine::OneSidedWrite(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
-                               Priority pri, bool signaled) {
-  BeginEngineOp();
-  Status s = OneSidedWriteImpl(dst, dst_addr, src, len, pri, signaled);
-  FinishEngineOp(s.ok());
-  return s;
+StatusOr<Completion> OpEngine::Repost(NodeId dst, const WorkRequest& wr, bool was_posted,
+                                      Priority pri) {
+  if (inst_->PeerDead(dst)) {
+    inst_->rpc_dead_fast_fail_->Inc();
+    return DeadPeerUnavailable();
+  }
+  if (was_posted) {
+    // The original WQE reached the wire and failed (or timed out): a true
+    // retry. A piece that never posted is simply issued late.
+    oneside_retries_->Inc();
+    engine_retries_->Inc();
+    if (journal_ != nullptr) {
+      journal_->Record(lt::telemetry::JournalEvent::kOnesideRetry, dst, 0);
+    }
+  }
+  WorkRequest again = wr;
+  again.signaled = true;
+  again.doorbell_hint = false;
+  return PostAndWait(dst, &again, pri);
 }
 
-Status OpEngine::OneSidedWriteImpl(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
-                                   Priority pri, bool signaled) {
-  const uint64_t qos_t0 = NowNs();
-  inst_->qos_.Admit(pri, len);
-  AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
-  if (dst == inst_->node_id()) {
-    AccessGate gate;
-    LT_RETURN_IF_ERROR(GateAccess(inst_, inst_, dst_addr, len, /*is_write=*/true, &gate));
-    const uint64_t copy_t0 = NowNs();
-    inst_->LocalCopyIn(dst_addr, src, len);
-    AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
-    inst_->migration().CloseAccess(&gate, /*success=*/true);
-    return Status::Ok();
-  }
-  WorkRequest wr;
-  wr.opcode = WrOpcode::kWrite;
-  wr.host_local = const_cast<void*>(src);
-  wr.length = len;
-  wr.rkey = inst_->peer_global_rkey_[dst];
-  wr.remote_addr = dst_addr;
-  wr.signaled = signaled;
-  if (!signaled) {
-    // Fire-and-forget (head-mirror publishes): errors surface on the next
-    // signaled user of the QP; recover here so one drop cannot wedge it.
+// ------------------------------------------------------ blocking submission
+
+Status OpEngine::SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri) {
+  return Accounted([&]() -> Status {
+    const uint64_t start = NowNs();
+    // A one-piece op is the latency path (fig06): QoS-admitted even when
+    // local, posted on a plain lease without doorbell batching or inline
+    // data. Several pieces post back-to-back on a sticky QP per destination
+    // so the RNIC batches their doorbells; small writes go inline.
+    const bool batch = pieces.size() > 1;
+    struct Posted {
+      TransportHandle h;
+      WorkRequest wr;
+      Status post = Status::Ok();
+    };
     Transport& tr = *inst_->transport_;
-    TransportHandle h = tr.Lease(dst, pri);
-    if (!tr.Valid(h)) {
-      return Status::Unavailable("no QP to destination node");
+    Status result = Status::Ok();
+    std::vector<Posted> remote;
+    remote.reserve(pieces.size());
+    for (const OpDesc& piece : pieces) {
+      const bool local = piece.node == inst_->node_id();
+      if (!local || !batch) {
+        Admit(pri, piece.len);
+      }
+      if (local) {
+        Status s = LoopbackCopy(piece, is_read);
+        if (!s.ok() && result.ok()) {
+          result = s;
+        }
+        continue;
+      }
+      Posted p;
+      p.h = batch ? tr.LeaseSticky(piece.node, pri) : tr.Lease(piece.node, pri);
+      p.wr = DataWr(piece, is_read, batch);
+      p.post = tr.Valid(p.h) ? Post(p.h, &p.wr) : Status::Unavailable("no QP to destination node");
+      remote.push_back(std::move(p));
     }
-    Qp* qp = tr.Qp(h);
-    wr.wr_id = 0;
-    const uint64_t post_t0 = NowNs();
-    std::lock_guard<std::mutex> lock(tr.Mu(h));
-    if (tr.Prepare(h)) {
-      // The recovery happened on behalf of a publish nobody waits on; count
-      // and journal it so the flight recorder shows the silent path too.
-      unsignaled_recovered_->Inc();
-      if (journal_ != nullptr) {
-        journal_->Record(lt::telemetry::JournalEvent::kUnsignaledRecover, dst, qp->qpn());
+    if (remote.size() > 1) {
+      engine_pieces_overlapped_->Inc(remote.size());
+    }
+
+    // Wait phase: harvest every piece, re-posting failures through the
+    // retry loop. All pieces drain even after an error, so no WQE is left
+    // dangling against the caller's buffer.
+    uint64_t ready = 0;
+    for (Posted& p : remote) {
+      std::optional<Completion> c;
+      if (p.post.ok()) {
+        c = AwaitCqe(p.h, p.wr.wr_id);
+      }
+      Status s = Status::Ok();
+      if (c.has_value() && c->status.ok()) {
+        ready = std::max(ready, c->ready_at_ns);
+      } else if (c.has_value() && !TransientCode(c->status)) {
+        s = c->status;  // Non-transient (permission, bounds): do not retry.
+      } else if (p.post.code() == lt::StatusCode::kStaleHome) {
+        s = p.post;  // The caller re-resolves the home and re-issues.
+      } else {
+        auto rc = Repost(p.h.dst, p.wr, p.post.ok(), pri);
+        if (rc.ok()) {
+          ready = std::max(ready, rc->ready_at_ns);
+        } else {
+          s = rc.status();
+        }
+      }
+      if (!s.ok() && result.ok()) {
+        result = s;
       }
     }
-    Status s = inst_->rnic().PostSend(qp, wr);
-    AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
-    return s;
-  }
-  const uint64_t start = NowNs();
-  auto c = PostAndWait(dst, &wr, pri);
-  if (!c.ok()) {
-    return c.status();
-  }
-  lt::telemetry::StampStage(lt::telemetry::TraceStage::kCompletion, c->ready_at_ns);
-  if (pri == Priority::kHigh) {
-    inst_->qos_.RecordHighPriRtt(NowNs() - start);
-  }
-  return Status::Ok();
-}
-
-Status OpEngine::OneSidedWriteImm(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
-                                  uint32_t imm, Priority pri) {
-  BeginEngineOp();
-  Status s = OneSidedWriteImmImpl(dst, dst_addr, src, len, imm, pri);
-  FinishEngineOp(s.ok());
-  return s;
-}
-
-Status OpEngine::OneSidedWriteImmImpl(NodeId dst, PhysAddr dst_addr, const void* src,
-                                      uint64_t len, uint32_t imm, Priority pri) {
-  const uint64_t qos_t0 = NowNs();
-  inst_->qos_.Admit(pri, len);
-  AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
-  if (dst == inst_->node_id()) {
-    // Loopback: copy locally and deliver the IMM to our own receive CQ so the
-    // poll thread handles it uniformly. No PostSend happens, so clear the
-    // RNIC's last-post breakdown — RPC callers read it after this returns.
-    lt::Rnic::ResetLastPostBreakdown();
-    const uint64_t copy_t0 = NowNs();
-    if (len > 0) {
-      inst_->LocalCopyIn(dst_addr, src, len);
+    if (!remote.empty() && result.ok()) {
+      lt::telemetry::StampStage(lt::telemetry::TraceStage::kCompletion,
+                                ready > 0 ? ready : NowNs());
+      if (pri == Priority::kHigh) {
+        inst_->qos_.RecordHighPriRtt(NowNs() - start);
+      }
     }
-    AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
-    Completion c;
-    c.opcode = WcOpcode::kRecvImm;
-    c.has_imm = true;
-    c.imm = imm;
-    c.byte_len = static_cast<uint32_t>(len);
-    c.src_node = inst_->node_id();
-    c.ready_at_ns = NowNs() + inst_->params().rnic_completion_ns;
-    inst_->recv_cq_->Push(std::move(c));
-    return Status::Ok();
-  }
-  Transport& tr = *inst_->transport_;
-  TransportHandle h = tr.Lease(dst, pri);
-  if (!tr.Valid(h)) {
-    return Status::Unavailable("no QP to destination node");
-  }
-  Qp* qp = tr.Qp(h);
-  WorkRequest wr;
-  wr.opcode = WrOpcode::kWriteImm;
-  wr.host_local = const_cast<void*>(src);
-  wr.length = len;
-  wr.rkey = inst_->peer_global_rkey_[dst];
-  wr.remote_addr = dst_addr;
-  wr.imm = imm;
-  wr.signaled = false;  // Failures detected by reply timeout (paper Sec. 5.1).
-  const uint64_t post_t0 = NowNs();
-  std::lock_guard<std::mutex> lock(tr.Mu(h));
-  tr.Prepare(h);  // A prior drop may have errored this QP; reconnect before posting.
-  Status s = inst_->rnic().PostSend(qp, wr);
-  AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
-  return s;
-}
-
-Status OpEngine::OneSidedRead(NodeId src_node, PhysAddr src_addr, void* dst, uint64_t len,
-                              Priority pri) {
-  BeginEngineOp();
-  Status s = OneSidedReadImpl(src_node, src_addr, dst, len, pri);
-  FinishEngineOp(s.ok());
-  return s;
-}
-
-Status OpEngine::OneSidedReadImpl(NodeId src_node, PhysAddr src_addr, void* dst, uint64_t len,
-                                  Priority pri) {
-  const uint64_t qos_t0 = NowNs();
-  inst_->qos_.Admit(pri, len);
-  AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
-  if (src_node == inst_->node_id()) {
-    AccessGate gate;
-    LT_RETURN_IF_ERROR(GateAccess(inst_, inst_, src_addr, len, /*is_write=*/false, &gate));
-    const uint64_t copy_t0 = NowNs();
-    inst_->LocalCopyOut(dst, src_addr, len);
-    AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
-    inst_->migration().CloseAccess(&gate, /*success=*/true);
-    return Status::Ok();
-  }
-  WorkRequest wr;
-  wr.opcode = WrOpcode::kRead;
-  wr.host_local = dst;
-  wr.length = len;
-  wr.rkey = inst_->peer_global_rkey_[src_node];
-  wr.remote_addr = src_addr;
-  wr.signaled = true;
-
-  const uint64_t start = NowNs();
-  auto c = PostAndWait(src_node, &wr, pri);
-  if (!c.ok()) {
-    return c.status();
-  }
-  lt::telemetry::StampStage(lt::telemetry::TraceStage::kCompletion, c->ready_at_ns);
-  if (pri == Priority::kHigh) {
-    inst_->qos_.RecordHighPriRtt(NowNs() - start);
-  }
-  return Status::Ok();
+    return result;
+  });
 }
 
 StatusOr<uint64_t> OpEngine::RemoteAtomic(NodeId dst, PhysAddr addr, bool is_cas,
@@ -379,198 +359,90 @@ StatusOr<uint64_t> OpEngine::RemoteAtomic(NodeId dst, PhysAddr addr, bool is_cas
   if (addr % 8 != 0) {
     return Status::InvalidArgument("atomic target not 8-byte aligned");
   }
-  BeginEngineOp();
-  StatusOr<uint64_t> r = RemoteAtomicImpl(dst, addr, is_cas, compare_add, swap);
-  FinishEngineOp(r.ok());
-  return r;
-}
-
-StatusOr<uint64_t> OpEngine::RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is_cas,
-                                              uint64_t compare_add, uint64_t swap) {
-  const uint64_t qos_t0 = NowNs();
-  inst_->qos_.Admit(Priority::kHigh, 8);
-  AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
-  if (dst == inst_->node_id()) {
-    AccessGate gate;
-    LT_RETURN_IF_ERROR(GateAccess(inst_, inst_, addr, 8, /*is_write=*/true, &gate));
-    const uint64_t spin_t0 = NowNs();
-    SpinFor(inst_->params().local_op_base_ns + inst_->params().rnic_atomic_extra_ns / 2);
-    AttrAdd(LatStage::kLatRnicLocal, NowNs() - spin_t0);
-    uint8_t* p = inst_->node_->mem().Data(addr, 8);
-    // Serialize against remote atomics through the same responder path.
-    uint64_t old_value;
-    if (is_cas) {
-      uint64_t expected = compare_add;
-      __atomic_compare_exchange_n(reinterpret_cast<uint64_t*>(p), &expected, swap, false,
-                                  __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST);
-      old_value = expected;
-    } else {
-      old_value = __atomic_fetch_add(reinterpret_cast<uint64_t*>(p), compare_add, __ATOMIC_SEQ_CST);
-    }
-    inst_->migration().CloseAccess(&gate, /*success=*/true);
-    return old_value;
-  }
-  uint64_t old_value = 0;
-  WorkRequest wr;
-  wr.opcode = is_cas ? WrOpcode::kCmpSwap : WrOpcode::kFetchAdd;
-  wr.rkey = inst_->peer_global_rkey_[dst];
-  wr.remote_addr = addr;
-  wr.compare_add = compare_add;
-  wr.swap = swap;
-  wr.atomic_result = &old_value;
-  wr.signaled = true;
-  // Retry is exactly-once here: a dropped atomic is rejected by the
-  // responder before the memory operation is applied (see ExecuteAtomic).
-  auto c = PostAndWait(dst, &wr, Priority::kHigh);
-  if (!c.ok()) {
-    return c.status();
-  }
-  return old_value;
-}
-
-// ------------------------------------------- multi-piece blocking memops
-
-Status OpEngine::SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri) {
-  BeginEngineOp();
-  Status s = SubmitPiecesImpl(pieces, is_read, pri);
-  FinishEngineOp(s.ok());
-  return s;
-}
-
-Status OpEngine::SubmitPiecesImpl(const std::vector<OpDesc>& pieces, bool is_read, Priority pri) {
-  const uint64_t start = NowNs();
-
-  // Issue phase: post every remote piece signaled before waiting on any.
-  // Consecutive posts to one destination share a QP (sticky selection) so
-  // the RNIC batches their doorbells; small writes go inline.
-  struct Posted {
-    TransportHandle h;
-    WorkRequest wr;
-    bool posted = false;
-  };
-  Transport& tr = *inst_->transport_;
-  Status result = Status::Ok();
-  std::vector<Posted> remote;
-  remote.reserve(pieces.size());
-  for (const OpDesc& piece : pieces) {
-    if (piece.node == inst_->node_id()) {
-      // Local pieces complete inline (same fast path as the 1-piece op),
-      // gated against our own migration guard.
+  return Accounted([&]() -> StatusOr<uint64_t> {
+    Admit(Priority::kHigh, 8);
+    if (dst == inst_->node_id()) {
       AccessGate gate;
-      Status g = GateAccess(inst_, inst_, piece.addr, piece.len, !is_read, &gate);
-      if (!g.ok()) {
-        if (result.ok()) {
-          result = g;
-        }
-        continue;
-      }
-      const uint64_t copy_t0 = NowNs();
-      if (is_read) {
-        inst_->LocalCopyOut(piece.local, piece.addr, piece.len);
-      } else {
-        inst_->LocalCopyIn(piece.addr, piece.local, piece.len);
-      }
-      AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
+      LT_RETURN_IF_ERROR(GateAccess(inst_, inst_, addr, 8, /*is_write=*/true, &gate));
+      const uint64_t spin_t0 = NowNs();
+      SpinFor(inst_->params().local_op_base_ns + inst_->params().rnic_atomic_extra_ns / 2);
+      AttrAdd(LatStage::kLatRnicLocal, NowNs() - spin_t0);
+      // The same read-modify-write the RNIC responder applies, so local and
+      // remote atomics on one word are atomic with each other.
+      const uint64_t old_value =
+          lt::ApplyAtomic(inst_->node_->mem().Data(addr, 8), is_cas, compare_add, swap);
       inst_->migration().CloseAccess(&gate, /*success=*/true);
-      continue;
+      return old_value;
     }
-    const uint64_t qos_t0 = NowNs();
-    inst_->qos_.Admit(pri, piece.len);
-    AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
-    Posted p;
-    p.h = tr.LeaseSticky(piece.node, pri);
-    WorkRequest& wr = p.wr;
-    wr.opcode = is_read ? WrOpcode::kRead : WrOpcode::kWrite;
-    wr.host_local = piece.local;
-    wr.length = piece.len;
-    wr.rkey = inst_->peer_global_rkey_[piece.node];
-    wr.remote_addr = piece.addr;
+    uint64_t old_value = 0;
+    WorkRequest wr;
+    wr.opcode = is_cas ? WrOpcode::kCmpSwap : WrOpcode::kFetchAdd;
+    wr.rkey = inst_->peer_global_rkey_[dst];
+    wr.remote_addr = addr;
+    wr.compare_add = compare_add;
+    wr.swap = swap;
+    wr.atomic_result = &old_value;
     wr.signaled = true;
-    wr.doorbell_hint = true;
-    wr.inline_data = !is_read;  // The RNIC applies its rnic_inline_max cut.
-    wr.wr_id = NextWrId();
-    if (tr.Valid(p.h)) {
-      LiteInstance* peer = inst_->Peer(p.h.dst);
-      AccessGate gate;
-      Status g = GateAccess(inst_, peer, wr.remote_addr, wr.length, !is_read, &gate);
-      if (g.ok()) {
-        Qp* qp = tr.Qp(p.h);
-        const uint64_t post_t0 = NowNs();
-        {
-          std::lock_guard<std::mutex> qlock(tr.Mu(p.h));
-          tr.Prepare(p.h);
-          p.posted = inst_->rnic().PostSend(qp, wr).ok();
-        }
-        AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
-        peer->migration().CloseAccess(&gate, p.posted);
-      }
-      // Gate NACK: left unposted; the wait phase re-gates via PostAndWait,
-      // which either parks through the fence or surfaces kStaleHome.
+    auto c = PostAndWait(dst, &wr, Priority::kHigh);
+    if (!c.ok()) {
+      return c.status();
     }
-    // A failed (or impossible) post leaves p.posted false; the wait phase
-    // re-posts it through the retry loop.
-    remote.push_back(p);
-  }
-  if (remote.size() > 1) {
-    engine_pieces_overlapped_->Inc(remote.size());
-  }
+    return old_value;
+  });
+}
 
-  // Wait phase: harvest every piece, re-posting transient failures with the
-  // blocking retry loop. All pieces drain even after an error, so no WQE is
-  // left dangling against the caller's buffer.
-  uint64_t ready = 0;
-  for (Posted& p : remote) {
-    std::optional<Completion> c;
-    if (p.posted) {
-      const uint64_t wait_t0 = NowNs();
-      c = tr.Qp(p.h)->send_cq()->WaitPollFor(p.wr.wr_id, inst_->params().lite_rpc_timeout_ns,
-                                             WaitMode::kBusyPoll);
-      const uint64_t wait_dt = NowNs() - wait_t0;
-      if (c.has_value() && c->status.ok()) {
-        AttrAddSplit(wait_dt, c->lat);
-      } else {
-        AttrAdd(LatStage::kLatDetour, wait_dt);
+Status OpEngine::PostUnsignaled(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
+                                const uint32_t* imm, Priority pri) {
+  return Accounted([&]() -> Status {
+    Admit(pri, len);
+    const OpDesc piece{dst, dst_addr, const_cast<void*>(src), len};
+    if (dst == inst_->node_id()) {
+      if (imm == nullptr) {
+        return LoopbackCopy(piece, /*is_read=*/false);
+      }
+      // Loopback RPC: copy locally and deliver the IMM to our own receive CQ
+      // so the poll thread handles it uniformly. No PostSend happens, so
+      // clear the RNIC's last-post breakdown — RPC callers read it after
+      // this returns.
+      lt::Rnic::ResetLastPostBreakdown();
+      if (len > 0) {
+        LT_RETURN_IF_ERROR(LoopbackCopy(piece, /*is_read=*/false));
+      }
+      Completion c;
+      c.opcode = WcOpcode::kRecvImm;
+      c.has_imm = true;
+      c.imm = *imm;
+      c.byte_len = static_cast<uint32_t>(len);
+      c.src_node = inst_->node_id();
+      c.ready_at_ns = NowNs() + inst_->params().rnic_completion_ns;
+      inst_->recv_cq_->Push(std::move(c));
+      return Status::Ok();
+    }
+    Transport& tr = *inst_->transport_;
+    TransportHandle h = tr.Lease(dst, pri);
+    if (!tr.Valid(h)) {
+      return Status::Unavailable("no QP to destination node");
+    }
+    WorkRequest wr;
+    wr.opcode = imm != nullptr ? WrOpcode::kWriteImm : WrOpcode::kWrite;
+    wr.host_local = piece.local;
+    wr.length = len;
+    wr.rkey = inst_->peer_global_rkey_[dst];
+    wr.remote_addr = dst_addr;
+    wr.imm = imm != nullptr ? *imm : 0;
+    wr.signaled = false;
+    bool recovered = false;
+    Status s = Post(h, &wr, &recovered);
+    if (recovered) {
+      // The recovery ran on behalf of a post nobody waits on; count and
+      // journal it so the flight recorder shows the silent path too.
+      unsignaled_recovered_->Inc();
+      if (journal_ != nullptr) {
+        journal_->Record(lt::telemetry::JournalEvent::kUnsignaledRecover, dst, tr.Qp(h)->qpn());
       }
     }
-    Status s = Status::Ok();
-    if (c.has_value() && c->status.ok()) {
-      ready = std::max(ready, c->ready_at_ns);
-    } else if (c.has_value() && !TransientCode(c->status)) {
-      s = c->status;  // Non-transient (permission, bounds): do not retry.
-    } else if (inst_->PeerDead(p.h.dst)) {
-      inst_->rpc_dead_fast_fail_->Inc();
-      s = DeadPeerUnavailable();
-    } else {
-      if (p.posted) {
-        // The piece reached the wire and failed (or timed out): true retry.
-        oneside_retries_->Inc();
-        engine_retries_->Inc();
-        if (journal_ != nullptr) {
-          journal_->Record(lt::telemetry::JournalEvent::kOnesideRetry, p.h.dst, 0);
-        }
-      }
-      WorkRequest wr = p.wr;
-      wr.signaled = true;
-      wr.doorbell_hint = false;
-      auto rc = PostAndWait(p.h.dst, &wr, pri);
-      if (rc.ok()) {
-        ready = std::max(ready, rc->ready_at_ns);
-      } else {
-        s = rc.status();
-      }
-    }
-    if (!s.ok() && result.ok()) {
-      result = s;
-    }
-  }
-  if (!remote.empty() && result.ok()) {
-    lt::telemetry::StampStage(lt::telemetry::TraceStage::kCompletion,
-                              ready > 0 ? ready : NowNs());
-    if (pri == Priority::kHigh) {
-      inst_->qos_.RecordHighPriRtt(NowNs() - start);
-    }
-  }
-  return result;
+    return s;
+  });
 }
 
 // ----------------------------------------------------------- async issue
@@ -592,84 +464,40 @@ StatusOr<MemopHandle> OpEngine::IssueAsyncPieces(const std::vector<OpDesc>& piec
   const uint32_t signal_every = std::max<uint32_t>(1, inst_->params().lite_async_signal_every);
 
   std::unique_lock<std::mutex> lock(async_mu_);
-  const size_t window = std::max<size_t>(1, inst_->params().lite_async_window);
-  const uint64_t bp_t0 = NowNs();
-  while (async_inflight_ >= window) {
-    RetireOldestLocked(lock);
-  }
-  AttrAdd(LatStage::kLatEngineQueue, NowNs() - bp_t0);
+  WaitForWindowLocked(lock);
 
+  Transport& tr = *inst_->transport_;
   for (const OpDesc& piece : pieces) {
-    uint8_t* user = static_cast<uint8_t*>(piece.local);
+    AsyncWqe wqe;
     if (piece.node == inst_->node_id()) {
-      // Local pieces complete at issue time (same fast path as blocking),
-      // gated against our own migration guard. A NACK is recorded as the
+      // Local pieces complete at issue time. A gate NACK is recorded as the
       // op's issue error; retirement folds it in (and the stale-home redo
       // then re-issues the whole memop against the new home).
-      AsyncWqe wqe;
-      wqe.done = true;
-      AccessGate gate;
-      Status g = GateAccess(inst_, inst_, piece.addr, piece.len, !is_read, &gate);
-      if (!g.ok()) {
-        if (op->issue_error.ok()) {
-          op->issue_error = g;
-        }
-      } else {
-        const uint64_t copy_t0 = NowNs();
-        if (is_read) {
-          inst_->LocalCopyOut(user, piece.addr, piece.len);
-        } else {
-          inst_->LocalCopyIn(piece.addr, user, piece.len);
-        }
-        AttrAdd(LatStage::kLatPost, NowNs() - copy_t0);
-        inst_->migration().CloseAccess(&gate, /*success=*/true);
+      Status g = LoopbackCopy(piece, is_read);
+      if (!g.ok() && op->issue_error.ok()) {
+        op->issue_error = g;
       }
+      wqe.done = true;
       wqe.ready_at_ns = NowNs();
       op->wqes.push_back(wqe);
       continue;
     }
-    const uint64_t qos_t0 = NowNs();
-    inst_->qos_.Admit(pri, piece.len);
-    AttrAdd(LatStage::kLatQosWait, NowNs() - qos_t0);
-    Transport& tr = *inst_->transport_;
-    AsyncWqe wqe;
+    Admit(pri, piece.len);
     wqe.h = tr.LeaseSticky(piece.node, pri);
-    WorkRequest& wr = wqe.wr;
-    wr.opcode = is_read ? WrOpcode::kRead : WrOpcode::kWrite;
-    wr.host_local = user;
-    wr.length = piece.len;
-    wr.rkey = inst_->peer_global_rkey_[piece.node];
-    wr.remote_addr = piece.addr;
-    wr.doorbell_hint = true;
-    wr.inline_data = !is_read;  // The RNIC applies its rnic_inline_max cut.
-    wr.wr_id = NextWrId();
+    wqe.wr = DataWr(piece, is_read, /*batch=*/true);
     if (tr.Valid(wqe.h)) {
       AsyncStream& stream = async_streams_[{wqe.h.dst, wqe.h.slot}];
       wqe.stream_pos = stream.next_pos++;
       wqe.signaled = ((wqe.stream_pos + 1) % signal_every == 0);
-      wr.signaled = wqe.signaled;
-      LiteInstance* peer = inst_->Peer(piece.node);
-      AccessGate gate;
-      Status g = GateAccess(inst_, peer, wr.remote_addr, wr.length, !is_read, &gate);
-      if (g.ok()) {
-        Qp* qp = tr.Qp(wqe.h);
-        const uint64_t post_t0 = NowNs();
-        {
-          std::lock_guard<std::mutex> qlock(tr.Mu(wqe.h));
-          tr.Prepare(wqe.h);
-          wqe.posted = inst_->rnic().PostSend(qp, wr).ok();
-        }
-        AttrAdd(LatStage::kLatPost, NowNs() - post_t0);
-        peer->migration().CloseAccess(&gate, wqe.posted);
-      }
-      // Gate NACK: left unposted; retirement re-posts through PostAndWait,
-      // which re-gates (parking through the fence or surfacing kStaleHome).
+      wqe.wr.signaled = wqe.signaled;
+      wqe.posted = Post(wqe.h, &wqe.wr).ok();
       if (wqe.posted && wqe.signaled) {
-        stream.signaled_pending[wqe.stream_pos] = wr.wr_id;
+        stream.signaled_pending[wqe.stream_pos] = wqe.wr.wr_id;
       }
     }
-    // A failed (or impossible) post leaves wqe.posted false; retirement
-    // re-posts it signaled through the retry loop.
+    // A gate NACK or failed (or impossible) post leaves wqe.posted false;
+    // retirement re-posts it signaled through the retry loop, which re-gates
+    // (parking through the fence or surfacing kStaleHome).
     op->wqes.push_back(wqe);
   }
 
@@ -714,12 +542,7 @@ StatusOr<MemopHandle> OpEngine::InsertAsyncRpc(uint32_t rpc_slot, void* out, uin
   op->rpc_out_len = out_len;
 
   std::unique_lock<std::mutex> lock(async_mu_);
-  const size_t window = std::max<size_t>(1, inst_->params().lite_async_window);
-  const uint64_t bp_t0 = NowNs();
-  while (async_inflight_ >= window) {
-    RetireOldestLocked(lock);
-  }
-  AttrAdd(LatStage::kLatEngineQueue, NowNs() - bp_t0);
+  WaitForWindowLocked(lock);
   const MemopHandle h = next_memop_handle_.fetch_add(1);
   op->id = h;
   ++async_inflight_;
@@ -778,31 +601,6 @@ std::optional<Completion> OpEngine::TakeAsyncCompletionLocked(lt::Cq* cq, uint64
   return cq->TryTake(wr_id);
 }
 
-Status OpEngine::RetryAsyncWqe(AsyncOp* op, AsyncWqe* wqe) {
-  if (inst_->PeerDead(wqe->h.dst)) {
-    inst_->rpc_dead_fast_fail_->Inc();
-    return DeadPeerUnavailable();
-  }
-  if (wqe->posted) {
-    // The original WQE reached the wire and failed; this is a true retry.
-    oneside_retries_->Inc();
-    engine_retries_->Inc();
-    if (journal_ != nullptr) {
-      journal_->Record(lt::telemetry::JournalEvent::kOnesideRetry, wqe->h.dst, 0);
-    }
-  }
-  WorkRequest wr = wqe->wr;
-  wr.signaled = true;
-  wr.doorbell_hint = false;
-  auto c = PostAndWait(wqe->h.dst, &wr, op->pri);
-  if (!c.ok()) {
-    return c.status();
-  }
-  wqe->done = true;
-  wqe->ready_at_ns = c->ready_at_ns;
-  return Status::Ok();
-}
-
 void OpEngine::CommitAsyncAttr(AsyncOp* op) {
   if (!op->attr.active) {
     return;
@@ -817,15 +615,41 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
   // Stamps made while retiring (retries, fences, the stale redo) belong to
   // the op being retired, not to whatever op the retiring thread carries.
   lt::telemetry::AttrAdoptScope adopt(&op->attr);
+  auto repost = [&](AsyncWqe& wqe) {
+    auto c = Repost(wqe.h.dst, wqe.wr, wqe.posted, op->pri);
+    if (!c.ok()) {
+      return c.status();
+    }
+    wqe.done = true;
+    wqe.ready_at_ns = c->ready_at_ns;
+    return Status::Ok();
+  };
   lt::telemetry::WqeLatBreakdown tail_lat;
   uint64_t tail_ready = 0;
+  // A harvested CQE at stream position `pos` fences every earlier position
+  // on its stream, success or error.
+  auto fence_to = [](AsyncStream& stream, uint64_t pos, uint64_t ready_ns) {
+    if (pos + 1 > stream.covered_pos) {
+      stream.covered_pos = pos + 1;
+      stream.covered_ready_ns = std::max(stream.covered_ready_ns, ready_ns);
+    }
+  };
+  // `wqe` completes at CQE `c`, the op's tail so far if it is the latest.
+  auto complete = [&](AsyncWqe& wqe, const Completion& c) {
+    wqe.done = true;
+    wqe.ready_at_ns = c.ready_at_ns;
+    if (c.ready_at_ns >= tail_ready) {
+      tail_ready = c.ready_at_ns;
+      tail_lat = c.lat;
+    }
+  };
   Status result = op->issue_error;
   uint64_t op_ready = 0;
   for (AsyncWqe& wqe : op->wqes) {
     Status s = Status::Ok();
     if (!wqe.done) {
       if (!wqe.posted) {
-        s = RetryAsyncWqe(op, &wqe);
+        s = repost(wqe);
       } else {
         lt::Cq* cq = inst_->transport_->Qp(wqe.h)->send_cq();
         AsyncStream& stream = async_streams_[{wqe.h.dst, wqe.h.slot}];
@@ -835,26 +659,18 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
           if (!c.has_value()) {
             s = Status::Internal("signaled async CQE missing");
           } else {
-            if (wqe.stream_pos + 1 > stream.covered_pos) {
-              stream.covered_pos = wqe.stream_pos + 1;
-              stream.covered_ready_ns = std::max(stream.covered_ready_ns, c->ready_at_ns);
-            }
+            fence_to(stream, wqe.stream_pos, c->ready_at_ns);
             if (c->status.ok()) {
-              wqe.done = true;
-              wqe.ready_at_ns = c->ready_at_ns;
-              if (c->ready_at_ns >= tail_ready) {
-                tail_ready = c->ready_at_ns;
-                tail_lat = c->lat;
-              }
+              complete(wqe, *c);
             } else if (TransientCode(c->status)) {
-              s = RetryAsyncWqe(op, &wqe);
+              s = repost(wqe);
             } else {
               s = c->status;
             }
           }
         } else if (c.has_value()) {
           // Unsignaled WQEs only ever leave an error CQE behind.
-          s = TransientCode(c->status) ? RetryAsyncWqe(op, &wqe) : c->status;
+          s = TransientCode(c->status) ? repost(wqe) : c->status;
         } else {
           // No error CQE: the WQE succeeded. Find (or create) the signaled
           // fence that makes its completion observable, and take its time.
@@ -875,16 +691,8 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
                 // error) fences everything before it on this stream either
                 // way — our WQE's own outcome was already decided above.
                 async_harvested_.emplace(cover_wr_id, *c2);
-                if (cover_pos + 1 > stream.covered_pos) {
-                  stream.covered_pos = cover_pos + 1;
-                  stream.covered_ready_ns = std::max(stream.covered_ready_ns, c2->ready_at_ns);
-                }
-                wqe.done = true;
-                wqe.ready_at_ns = c2->ready_at_ns;
-                if (c2->ready_at_ns >= tail_ready) {
-                  tail_ready = c2->ready_at_ns;
-                  tail_lat = c2->lat;
-                }
+                fence_to(stream, cover_pos, c2->ready_at_ns);
+                complete(wqe, *c2);
                 async_inferred_->Inc();
                 covered = true;
               }
@@ -934,8 +742,6 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
     result = redo;
     op_ready = std::max(op_ready, NowNs());
   }
-  op->result = result;
-  op->ready_at_ns = op_ready > 0 ? op_ready : NowNs();
   // Book the tail WQE's RNIC/fabric breakdown: harvesting a CQE advances no
   // clock, so without this the transport time would all land in "other".
   if (tail_ready > 0) {
@@ -945,6 +751,12 @@ void OpEngine::RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
     AttrAdd(LatStage::kLatRnicRemote, tail_lat.rnic_remote_ns);
     AttrAdd(LatStage::kLatComplPoll, tail_lat.compl_ns);
   }
+  FinishAsyncLocked(op, result, op_ready > 0 ? op_ready : NowNs());
+}
+
+void OpEngine::FinishAsyncLocked(AsyncOp* op, const Status& result, uint64_t ready_at_ns) {
+  op->result = result;
+  op->ready_at_ns = ready_at_ns;
   op->state = AsyncOpState::kDone;
   CommitAsyncAttr(op);
   FinishEngineOp(result.ok());
@@ -959,32 +771,33 @@ void OpEngine::RetireRpcUnlocked(std::unique_lock<std::mutex>& lock, AsyncOp* op
   lock.unlock();
   Status s = inst_->RpcWait(op->rpc_slot, op->rpc_out, op->rpc_out_max, op->rpc_out_len);
   lock.lock();
-  op->result = s;
-  op->ready_at_ns = NowNs();
-  op->state = AsyncOpState::kDone;
-  CommitAsyncAttr(op);
-  FinishEngineOp(s.ok());
-  --async_inflight_;
-  async_cv_.notify_all();
+  FinishAsyncLocked(op, s, NowNs());
 }
 
-void OpEngine::RetireOldestLocked(std::unique_lock<std::mutex>& lock) {
-  for (auto& [id, op] : async_ops_) {
-    if (op->state == AsyncOpState::kInFlight) {
-      AsyncOp* o = op.get();
-      o->state = AsyncOpState::kRetiring;
-      if (o->is_rpc) {
-        RetireRpcUnlocked(lock, o);
-      } else {
-        RetireMemopLocked(lock, o);
-      }
-      return;
+void OpEngine::RetireLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op) {
+  op->state = AsyncOpState::kRetiring;
+  if (op->is_rpc) {
+    RetireRpcUnlocked(lock, op);
+  } else {
+    RetireMemopLocked(lock, op);
+  }
+}
+
+void OpEngine::WaitForWindowLocked(std::unique_lock<std::mutex>& lock) {
+  const size_t window = std::max<size_t>(1, inst_->params().lite_async_window);
+  const uint64_t bp_t0 = NowNs();
+  while (async_inflight_ >= window) {
+    auto oldest = std::find_if(async_ops_.begin(), async_ops_.end(), [](const auto& entry) {
+      return entry.second->state == AsyncOpState::kInFlight;
+    });
+    if (oldest != async_ops_.end()) {
+      RetireLocked(lock, oldest->second.get());
+    } else {
+      // Every outstanding op is being retired by another thread.
+      async_cv_.wait(lock);
     }
   }
-  if (async_inflight_ > 0) {
-    // Every outstanding op is being retired by another thread; wait for one.
-    async_cv_.wait(lock);
-  }
+  AttrAdd(LatStage::kLatEngineQueue, NowNs() - bp_t0);
 }
 
 Status OpEngine::ConsumeAsyncLocked(std::map<MemopHandle, std::unique_ptr<AsyncOp>>::iterator it) {
@@ -1011,27 +824,17 @@ StatusOr<bool> OpEngine::Poll(MemopHandle h) {
     return false;
   }
   if (op->state == AsyncOpState::kInFlight) {
-    if (op->is_rpc) {
-      // Don't block: in flight until the poll thread delivers the reply.
-      if (inst_->reply_slots_[op->rpc_slot]->state.load(std::memory_order_acquire) < 2) {
-        return false;
-      }
-      op->state = AsyncOpState::kRetiring;
-      RetireRpcUnlocked(lock, op);
-      it = async_ops_.find(h);
-      if (it == async_ops_.end()) {
-        return Status::InvalidArgument("async handle consumed concurrently");
-      }
-      op = it->second.get();
-    } else {
-      op->state = AsyncOpState::kRetiring;
-      RetireMemopLocked(lock, op);
-      it = async_ops_.find(h);
-      if (it == async_ops_.end()) {
-        return Status::InvalidArgument("async handle consumed concurrently");
-      }
-      op = it->second.get();
+    // Don't block on an RPC: in flight until the poll thread delivers the reply.
+    if (op->is_rpc &&
+        inst_->reply_slots_[op->rpc_slot]->state.load(std::memory_order_acquire) < 2) {
+      return false;
     }
+    RetireLocked(lock, op);
+    it = async_ops_.find(h);
+    if (it == async_ops_.end()) {
+      return Status::InvalidArgument("async handle consumed concurrently");
+    }
+    op = it->second.get();
   }
   if (NowNs() < op->ready_at_ns) {
     return false;  // Retired, but the completion hasn't arrived on our clock.
@@ -1055,12 +858,7 @@ Status OpEngine::Wait(MemopHandle h) {
       case AsyncOpState::kDone:
         return ConsumeAsyncLocked(it);
       case AsyncOpState::kInFlight:
-        op->state = AsyncOpState::kRetiring;
-        if (op->is_rpc) {
-          RetireRpcUnlocked(lock, op);
-        } else {
-          RetireMemopLocked(lock, op);
-        }
+        RetireLocked(lock, op);
         break;  // Re-find: the map may have shifted while unlocked.
       case AsyncOpState::kRetiring:
         async_cv_.wait(lock);
@@ -1068,8 +866,6 @@ Status OpEngine::Wait(MemopHandle h) {
     }
   }
 }
-
-Status OpEngine::WaitAll() { return WaitAll(nullptr); }
 
 Status OpEngine::WaitAll(std::vector<std::pair<MemopHandle, Status>>* results) {
   Status first_error = Status::Ok();
@@ -1090,12 +886,7 @@ Status OpEngine::WaitAll(std::vector<std::pair<MemopHandle, Status>>* results) {
         break;
       }
       case AsyncOpState::kInFlight:
-        op->state = AsyncOpState::kRetiring;
-        if (op->is_rpc) {
-          RetireRpcUnlocked(lock, op);
-        } else {
-          RetireMemopLocked(lock, op);
-        }
+        RetireLocked(lock, op);
         break;
       case AsyncOpState::kRetiring:
         async_cv_.wait(lock);

@@ -1,21 +1,28 @@
 // OpEngine — the single op-submission engine all three LITE data paths post
 // through (paper Secs. 4, 6: one shared kernel path for memops and RPC).
 //
-// The engine owns the issue/retire pipeline: QP selection (via the pluggable
-// Transport — RC QpManager or the DC shared pool, DESIGN.md §10),
-// QP error recovery, transient-retry with backoff, QoS admission, journal
-// and trace stamping, and the async stream/window/selective-signaling state.
-// The three submitters:
-//   * blocking memops — single-piece ops use the OneSided* entry points;
-//     multi-piece ops go through SubmitPieces ("issue all pieces, wait all"),
-//     overlapping chunk transfers across nodes with doorbell batching and
-//     inline sends;
+// Every op is built from the same five steps, each with one home:
+//   * Post — one gated post of a WR on a leased transport handle: the
+//     migration gate at the target, the QP lock, Prepare (QP recovery / DC
+//     re-target), PostSend, gate close;
+//   * LoopbackCopy — a piece whose target is this node: gate, local copy,
+//     close (no RNIC involved);
+//   * PostAndWait / Repost — the one retry loop (backoff, QP recovery,
+//     dead-peer fast fail) every failed or unposted piece goes through;
+//   * lt::ApplyAtomic — the one read-modify-write on node memory, shared by
+//     loopback atomics and the RNIC responder;
+//   * the lh-level stale-home redirect loop (LiteInstance::IssueRedirected)
+//     that re-resolves a migrated LMR and re-issues the op in full.
+// The submitters:
+//   * blocking memops — SubmitPieces ("issue all pieces, wait all"). A
+//     one-piece op is the latency path the paper measures: it is QoS-admitted
+//     even when local and posts on a plain lease; several pieces share a
+//     sticky QP per destination, doorbell-batched, small writes inline;
 //   * async memops — IssueAsyncPieces posts every piece immediately and
 //     returns a completion handle retired by Poll/Wait/WaitAll;
-//   * RPC — ring posts, replies, and head-mirror publishes are OneSidedWrite
-//     / OneSidedWriteImm calls, so the send side shares the same
-//     QP/retry/recovery spine (RPC-level retransmits count into
-//     lite.engine.retries through CountRetry()).
+//   * RPC — ring posts, replies and head-mirror publishes are unsignaled
+//     OneSidedWriteImm / OneSidedWrite posts on the same spine (RPC-level
+//     retransmits count into lite.engine.retries through CountRetry()).
 #ifndef SRC_LITE_OP_ENGINE_H_
 #define SRC_LITE_OP_ENGINE_H_
 
@@ -57,32 +64,31 @@ class OpEngine {
     uint64_t len = 0;
   };
 
-  // ---- Blocking one-sided ops (single descriptor) ----
-  // Signaled ops transparently retry dropped transfers (recovering the QP
-  // from its error state first) up to lite_rpc_max_retries times with
-  // exponential backoff.
-  Status OneSidedWrite(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len, Priority pri,
-                       bool signaled);
-  Status OneSidedWriteImm(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
-                          uint32_t imm, Priority pri);
-  Status OneSidedRead(NodeId src_node, PhysAddr src_addr, void* dst, uint64_t len, Priority pri);
+  // ---- Blocking submission ("issue all pieces, wait all") ----
+  // Posts every remote piece signaled before waiting on any, so pieces on
+  // different chunks/nodes overlap on the wire; local pieces complete
+  // inline. Failed pieces are re-posted through the retry loop (transient
+  // drops back off, errored QPs are recovered first). Returns the first
+  // error, after draining every piece.
+  Status SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri);
+  // 8-byte FETCH_ADD (is_cas false) or CMP_SWAP; returns the old value.
+  // Exactly-once under retry: a dropped atomic is rejected by the responder
+  // before the memory operation is applied.
   StatusOr<uint64_t> RemoteAtomic(NodeId dst, PhysAddr addr, bool is_cas, uint64_t compare_add,
                                   uint64_t swap);
-  // Posts a signaled WR and waits for its completion, retrying retryable
-  // failures (drops) with backoff and QP recovery. Returns the successful
-  // completion, or the last error. `pinned` pins the transport handle (the
-  // async flush fence must land on the stream's own QP); null leases one
-  // per attempt.
-  StatusOr<lt::Completion> PostAndWait(NodeId dst, lt::WorkRequest* wr, Priority pri,
-                                       const TransportHandle* pinned = nullptr);
 
-  // ---- Blocking multi-piece submission ("issue all pieces, wait all") ----
-  // Posts every remote piece signaled (doorbell-batched; writes inline when
-  // small) before waiting on any, so pieces on different chunks/nodes overlap
-  // on the wire; local pieces complete inline. Failed pieces are re-posted
-  // with the blocking retry loop. Returns the first error, after draining
-  // every piece.
-  Status SubmitPieces(const std::vector<OpDesc>& pieces, bool is_read, Priority pri);
+  // ---- Unsignaled posts (RPC spine) ----
+  // Fire-and-forget: errors surface on the next signaled user of the QP (or
+  // as an RPC reply timeout, paper Sec. 5.1). OneSidedWriteImm carries an
+  // RPC ring entry or reply; OneSidedWrite publishes a ring head mirror.
+  Status OneSidedWriteImm(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
+                          uint32_t imm, Priority pri) {
+    return PostUnsignaled(dst, dst_addr, src, len, &imm, pri);
+  }
+  Status OneSidedWrite(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
+                       Priority pri) {
+    return PostUnsignaled(dst, dst_addr, src, len, nullptr, pri);
+  }
 
   // ---- Async completion-handle pipeline ----
   // Issues one async memop's pieces (unsignaled + selective signaling, see
@@ -114,10 +120,9 @@ class OpEngine {
                                        uint32_t* out_len, Priority pri);
   StatusOr<bool> Poll(MemopHandle h);
   Status Wait(MemopHandle h);
-  Status WaitAll();
-  // Per-handle variant: appends every retired handle's final status to
-  // `results` (when non-null) so errors past the first are not swallowed.
-  Status WaitAll(std::vector<std::pair<MemopHandle, Status>>* results);
+  // Appends every retired handle's final status to `results` (when
+  // non-null) so errors past the first are not swallowed.
+  Status WaitAll(std::vector<std::pair<MemopHandle, Status>>* results = nullptr);
   size_t AsyncInFlight() const;
 
   // Resolves the API timeout sentinels (types.h) and applies the hang-
@@ -130,19 +135,6 @@ class OpEngine {
     if (engine_retries_ != nullptr) {
       engine_retries_->Inc();
     }
-  }
-
-  // Engine op accounting (HealthWatchdog conservation invariant:
-  // lite.engine.ops == ops_ok + ops_failed + in_flight). Every engine entry
-  // point Begins exactly once and Finishes exactly once — blocking ops at
-  // return, async ops when their state reaches kDone.
-  void BeginEngineOp() {
-    engine_ops_->Inc();
-    engine_inflight_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void FinishEngineOp(bool ok) {
-    (ok ? engine_ops_ok_ : engine_ops_failed_)->Inc();
-    engine_inflight_.fetch_sub(1, std::memory_order_relaxed);
   }
 
   // Registers the engine's lite.* instruments (constructor-time, via
@@ -198,24 +190,69 @@ class OpEngine {
 
   uint64_t NextWrId() { return next_wr_id_.fetch_add(1); }
 
-  // Bodies of the blocking entry points; the public wrappers add the
-  // Begin/Finish engine-op accounting around them.
-  Status OneSidedWriteImpl(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
-                           Priority pri, bool signaled);
-  Status OneSidedWriteImmImpl(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
-                              uint32_t imm, Priority pri);
-  Status OneSidedReadImpl(NodeId src_node, PhysAddr src_addr, void* dst, uint64_t len,
-                          Priority pri);
-  StatusOr<uint64_t> RemoteAtomicImpl(NodeId dst, PhysAddr addr, bool is_cas,
-                                      uint64_t compare_add, uint64_t swap);
-  Status SubmitPiecesImpl(const std::vector<OpDesc>& pieces, bool is_read, Priority pri);
+  // Engine op accounting (HealthWatchdog conservation invariant:
+  // lite.engine.ops == ops_ok + ops_failed + in_flight). Every engine entry
+  // point Begins exactly once and Finishes exactly once — blocking ops at
+  // return (Accounted), async ops when their state reaches kDone.
+  void BeginEngineOp() {
+    engine_ops_->Inc();
+    engine_inflight_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void FinishEngineOp(bool ok) {
+    (ok ? engine_ops_ok_ : engine_ops_failed_)->Inc();
+    engine_inflight_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  // Runs one blocking engine op inside the Begin/Finish accounting.
+  template <typename Fn>
+  auto Accounted(Fn&& body) {
+    BeginEngineOp();
+    auto r = body();
+    FinishEngineOp(r.ok());
+    return r;
+  }
+
+  // QoS admission of `len` bytes at `pri`, stamped as the qos stage.
+  void Admit(Priority pri, uint64_t len);
+  // A signaled-by-default READ/WRITE WR for a remote piece; `batch` asks
+  // the RNIC for doorbell batching and (writes) inline data.
+  lt::WorkRequest DataWr(const OpDesc& piece, bool is_read, bool batch);
+  // The one gated post: opens the target's migration gate for data WRs,
+  // posts under the slot lock after Prepare, closes the gate. Returns the
+  // gate's NACK (kStaleHome, or kUnavailable when the fence wait timed
+  // out) or PostSend's status. `recovered` reports that Prepare reset an
+  // errored QP first.
+  Status Post(const TransportHandle& h, lt::WorkRequest* wr, bool* recovered = nullptr);
+  // The one loopback access: a piece on this node, gated and copied locally.
+  Status LoopbackCopy(const OpDesc& piece, bool is_read);
+  // Waits for the CQE of a posted signaled WR (nullopt on timeout); stamps
+  // the wait as the round trip's stages, or as a detour when it failed.
+  std::optional<lt::Completion> AwaitCqe(const TransportHandle& h, uint64_t wr_id);
+  // Posts a signaled WR and waits for its completion, retrying retryable
+  // failures (drops, fence timeouts) with backoff and QP recovery. Returns
+  // the successful completion, or the last error. `pinned` pins the
+  // transport handle (the async flush fence must land on the stream's own
+  // QP); null leases one per attempt.
+  StatusOr<lt::Completion> PostAndWait(NodeId dst, lt::WorkRequest* wr, Priority pri,
+                                       const TransportHandle* pinned = nullptr);
+  // The one re-post of a failed (or never-posted) piece: dead-peer fast
+  // fail, then — when the piece had reached the wire — counts and journals
+  // a retry, then re-posts it signaled through PostAndWait.
+  StatusOr<lt::Completion> Repost(NodeId dst, const lt::WorkRequest& wr, bool was_posted,
+                                  Priority pri);
+  // Body of OneSidedWriteImm (imm != null) and OneSidedWrite.
+  Status PostUnsignaled(NodeId dst, PhysAddr dst_addr, const void* src, uint64_t len,
+                        const uint32_t* imm, Priority pri);
 
   // Commits a retired async op's attribution record (no-op when inactive).
   void CommitAsyncAttr(AsyncOp* op);
-
-  // Re-posts a failed async WQE signaled, with the blocking path's retry
-  // semantics (dead-peer fast fail, backoff, QP recovery).
-  Status RetryAsyncWqe(AsyncOp* op, AsyncWqe* wqe);
+  // Backpressure: retires the oldest in-flight ops until the window has
+  // room, waiting on the cv while every one is being retired elsewhere.
+  void WaitForWindowLocked(std::unique_lock<std::mutex>& lock);
+  // Retires an in-flight `op` (async_mu_ held via `lock`), memop or RPC.
+  void RetireLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op);
+  // Marks a retiring op kDone with `result` ready at `ready_at_ns`, commits
+  // its attribution and closes its engine-op accounting.
+  void FinishAsyncLocked(AsyncOp* op, const Status& result, uint64_t ready_at_ns);
   // Retires an RPC-kind op; drops the lock around the reply wait (the reply
   // is delivered by the poll thread, which never takes async_mu_).
   void RetireRpcUnlocked(std::unique_lock<std::mutex>& lock, AsyncOp* op);
@@ -225,9 +262,6 @@ class OpEngine {
   // kStaleHome result with a known origin drops the lock and re-issues the
   // whole memop against the LMR's new home (exactly-once for the caller).
   void RetireMemopLocked(std::unique_lock<std::mutex>& lock, AsyncOp* op);
-  // Retires the oldest in-flight op (backpressure path). Waits on the cv if
-  // every outstanding op is already being retired by another thread.
-  void RetireOldestLocked(std::unique_lock<std::mutex>& lock);
   // Finds a completion for `wr_id`: the shared harvest map first, then the
   // CQ itself (async CQEs exist from post time; only ready_at is future).
   std::optional<lt::Completion> TakeAsyncCompletionLocked(lt::Cq* cq, uint64_t wr_id);

@@ -24,15 +24,22 @@ void QpManager::Setup(const std::vector<bool>& connect, lt::Cq* recv_cq) {
   }
 }
 
-int QpManager::PickQpIndex(NodeId dst, Priority pri) {
+std::pair<int, int> QpManager::Band(NodeId dst, Priority pri) const {
   if (dst >= pool_.size() || pool_[dst].empty()) {
-    return -1;
+    return {0, 0};
   }
   const int k = static_cast<int>(pool_[dst].size());
   auto [lo, hi] = qos_->QpRange(pri, k);
   if (hi <= lo) {
-    lo = 0;
-    hi = k;
+    return {0, k};
+  }
+  return {lo, hi};
+}
+
+int QpManager::PickQpIndex(NodeId dst, Priority pri) {
+  const auto [lo, hi] = Band(dst, pri);
+  if (hi == lo) {
+    return -1;
   }
   // Cheap per-thread spreading across the allowed slots.
   static thread_local uint32_t t_counter = 0;
@@ -40,27 +47,13 @@ int QpManager::PickQpIndex(NodeId dst, Priority pri) {
 }
 
 int QpManager::PickQpIndexSticky(NodeId dst, Priority pri) {
-  if (dst >= pool_.size() || pool_[dst].empty()) {
+  const auto [lo, hi] = Band(dst, pri);
+  if (hi == lo) {
     return -1;
-  }
-  const int k = static_cast<int>(pool_[dst].size());
-  auto [lo, hi] = qos_->QpRange(pri, k);
-  if (hi <= lo) {
-    lo = 0;
-    hi = k;
   }
   static thread_local const uint32_t t_base = static_cast<uint32_t>(
       std::hash<std::thread::id>()(std::this_thread::get_id()));
-  const auto& p = node_->params();
-  uint32_t tag = t_base + p.lite_sticky_salt;
-  if (p.lite_sticky_rotate_ops > 0) {
-    // Rotate the thread's QP every lite_sticky_rotate_ops sticky picks:
-    // keeps doorbell batching inside a rotation window while still cycling
-    // load across the band over time.
-    static thread_local uint32_t t_ops = 0;
-    tag += t_ops++ / p.lite_sticky_rotate_ops;
-  }
-  return lo + static_cast<int>(tag % static_cast<uint32_t>(hi - lo));
+  return lo + static_cast<int>(t_base % static_cast<uint32_t>(hi - lo));
 }
 
 lt::Qp* QpManager::PoolQp(NodeId dst, int k) const {

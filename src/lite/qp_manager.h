@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "src/lite/qos.h"
@@ -35,7 +36,7 @@ class QpManager : public Transport {
   int PickQpIndex(NodeId dst, Priority pri);
   // Sticky per (thread, destination) so a pipelining thread's consecutive
   // posts land on one QP and share doorbells (round-robin would break every
-  // doorbell batch). Tunable via lite_sticky_salt / lite_sticky_rotate_ops.
+  // doorbell batch).
   int PickQpIndexSticky(NodeId dst, Priority pri);
 
   TransportHandle Lease(NodeId dst, Priority pri) override {
@@ -72,6 +73,9 @@ class QpManager : public Transport {
   void DropQpForTest(NodeId dst, int k) { pool_[dst][k] = nullptr; }
 
  private:
+  // The slot band [lo, hi) `pri` may use toward `dst`; empty without QPs.
+  std::pair<int, int> Band(NodeId dst, Priority pri) const;
+
   // pool_[dst][k], k in [0, K).
   std::vector<std::vector<lt::Qp*>> pool_;
   std::vector<std::vector<std::unique_ptr<std::mutex>>> mu_;

@@ -75,13 +75,14 @@ void SubmissionRings::SyncEnter() {
   std::vector<RingDeferredOp> batch;
   {
     std::lock_guard<std::mutex> lock(r.mu);
-    batch.swap(r.deferred);
+    batch = TakeBatchLocked(r);
     MaybeDoorbellLocked(r);
   }
   if (!batch.empty()) {
     deferred_flushes_->Inc();
     DrainBatch(r, std::move(batch));
   }
+  AwaitDrained(r);
 }
 
 void SubmissionRings::SyncExit(uint64_t ops) {
@@ -90,13 +91,31 @@ void SubmissionRings::SyncExit(uint64_t ops) {
   BookOpsLocked(r, ops);
 }
 
+std::vector<RingDeferredOp> SubmissionRings::TakeBatchLocked(CpuRing& r) {
+  std::vector<RingDeferredOp> batch;
+  batch.swap(r.deferred);
+  if (!batch.empty()) {
+    ++r.draining;
+  }
+  return batch;
+}
+
 void SubmissionRings::DrainBatch(CpuRing& r, std::vector<RingDeferredOp>&& batch) {
   RingDrainCache cache;
   for (RingDeferredOp& op : batch) {
     inst_->ExecuteDeferredAsync(op, &cache);
   }
-  std::lock_guard<std::mutex> lock(r.mu);
-  BookOpsLocked(r, batch.size());
+  {
+    std::lock_guard<std::mutex> lock(r.mu);
+    BookOpsLocked(r, batch.size());
+    --r.draining;
+  }
+  r.drained.notify_all();
+}
+
+void SubmissionRings::AwaitDrained(CpuRing& r) {
+  std::unique_lock<std::mutex> lock(r.mu);
+  r.drained.wait(lock, [&r] { return r.draining == 0; });
 }
 
 StatusOr<MemopHandle> SubmissionRings::SubmitAsync(Lh lh, uint64_t offset, void* buf, uint64_t len,
@@ -135,7 +154,7 @@ StatusOr<MemopHandle> SubmissionRings::SubmitAsync(Lh lh, uint64_t offset, void*
     overflow = r.deferred.size() >= entries_;
     const bool aged = NowNs() - r.deferred.front().enqueue_ns >= flush_ns_;
     if (overflow || aged || r.deferred.size() >= batch_) {
-      batch.swap(r.deferred);
+      batch = TakeBatchLocked(r);
       MaybeDoorbellLocked(r);
     }
   }
@@ -162,12 +181,16 @@ void SubmissionRings::FlushHandle(MemopHandle h) {
       if (!found) {
         continue;
       }
-      batch.swap(r.deferred);
+      batch = TakeBatchLocked(r);
       MaybeDoorbellLocked(r);
     }
     deferred_flushes_->Inc();
     DrainBatch(r, std::move(batch));
     return;
+  }
+  // Not parked anywhere: registered already, or mid-drain on another thread.
+  for (auto& rp : rings_) {
+    AwaitDrained(*rp);
   }
 }
 
@@ -180,11 +203,14 @@ void SubmissionRings::FlushAll() {
       if (r.deferred.empty()) {
         continue;
       }
-      batch.swap(r.deferred);
+      batch = TakeBatchLocked(r);
       MaybeDoorbellLocked(r);
     }
     deferred_flushes_->Inc();
     DrainBatch(r, std::move(batch));
+  }
+  for (auto& rp : rings_) {
+    AwaitDrained(*rp);
   }
 }
 

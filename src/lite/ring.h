@@ -32,6 +32,7 @@
 #ifndef SRC_LITE_RING_H_
 #define SRC_LITE_RING_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -129,14 +130,23 @@ class SubmissionRings {
     uint64_t epoch_ops = 0;      // Ops amortized over the open doorbell.
     uint64_t hot_until_ns = 0;   // Drainer spins until this virtual time.
     std::vector<RingDeferredOp> deferred;
+    // Batches taken out of `deferred` whose ops are not yet registered with
+    // the engine. Barriers wait for zero: an op in another thread's drain
+    // is still unordered (and its handle still unknown) until then.
+    uint32_t draining = 0;
+    std::condition_variable drained;
   };
 
   CpuRing& RingForThisThread();
   // Doorbell decision at a boundary interaction; r.mu held. Charges one
   // batched crossing when the drainer is cold, closing the previous epoch.
   void MaybeDoorbellLocked(CpuRing& r);
-  // Executes a stolen batch (no ring lock held) and books its ops.
+  // Takes the deferred queue for draining; r.mu held.
+  std::vector<RingDeferredOp> TakeBatchLocked(CpuRing& r);
+  // Executes a taken batch (no ring lock held) and books its ops.
   void DrainBatch(CpuRing& r, std::vector<RingDeferredOp>&& batch);
+  // Blocks (real time) until no batch of `r` is mid-drain.
+  void AwaitDrained(CpuRing& r);
   void BookOpsLocked(CpuRing& r, uint64_t ops);
 
   LiteInstance* const inst_;

@@ -967,7 +967,7 @@ void LiteInstance::HeadWriterLoop() {
     lt::SetServiceClock(vtime);  // Publish on the triggering event's timeline.
     uint64_t head = ring->head_to_publish.load(std::memory_order_acquire);
     (void)engine_.OneSidedWrite(ring->client, ring->client_head_mirror, &head, sizeof(head),
-                                Priority::kHigh, /*signaled=*/false);
+                                Priority::kHigh);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "src/common/logging.h"
 #include "src/common/annotations.h"
@@ -39,6 +38,17 @@ thread_local DoorbellBatch tl_doorbell;
 thread_local telemetry::WqeLatBreakdown tl_last_lat;
 
 }  // namespace
+
+uint64_t ApplyAtomic(uint8_t* word, bool is_cas, uint64_t compare_add, uint64_t swap) {
+  auto* p = reinterpret_cast<uint64_t*>(word);
+  if (!is_cas) {
+    return __atomic_fetch_add(p, compare_add, __ATOMIC_SEQ_CST);
+  }
+  uint64_t expected = compare_add;
+  __atomic_compare_exchange_n(p, &expected, swap, /*weak=*/false, __ATOMIC_SEQ_CST,
+                              __ATOMIC_SEQ_CST);
+  return expected;  // The old value whether or not the swap happened.
+}
 
 // ---------------------------------------------------------------- directory
 
@@ -837,24 +847,9 @@ Status Rnic::ExecuteAtomic(Qp* qp, const WorkRequest& wr, Rnic* remote) {
       arrive, params_.rnic_process_ns + params_.rnic_atomic_extra_ns +
                   target->cache_penalty_ns + remote_qpc_penalty);
 
-  uint64_t old_value = 0;
-  {
-    std::lock_guard<SpinLock> lock(remote->atomic_mu_);
-    const PhysRange& pr = target->ranges[0];
-    uint8_t* p = remote->mem()->Data(pr.addr, 8);
-    uint64_t current;
-    std::memcpy(&current, p, 8);
-    old_value = current;
-    uint64_t next = current;
-    if (wr.opcode == WrOpcode::kFetchAdd) {
-      next = current + wr.compare_add;
-    } else {  // kCmpSwap
-      if (current == wr.compare_add) {
-        next = wr.swap;
-      }
-    }
-    std::memcpy(p, &next, 8);
-  }
+  const uint64_t old_value =
+      ApplyAtomic(remote->mem()->Data(target->ranges[0].addr, 8),
+                  wr.opcode == WrOpcode::kCmpSwap, wr.compare_add, wr.swap);
   if (wr.atomic_result != nullptr) {
     *wr.atomic_result = old_value;
   }

@@ -54,6 +54,12 @@ class FixedHistogram;
 
 class Rnic;
 
+// The one read-modify-write on node memory: FETCH_ADD (is_cas false) or
+// CMP_SWAP on the 8-byte word at `word`, returning its old value. The RNIC
+// responder and LITE's loopback atomics both apply it, so local and remote
+// atomics on one word are atomic with each other.
+uint64_t ApplyAtomic(uint8_t* word, bool is_cas, uint64_t compare_add, uint64_t swap);
+
 // Resolves node ids to their RNICs; owned by the cluster.
 class RnicDirectory {
  public:
@@ -387,10 +393,6 @@ class Rnic {
   std::vector<std::unique_ptr<Qp>> qps_;
   std::unordered_map<uint32_t, Qp*> qp_index_;
   std::vector<std::unique_ptr<Cq>> cqs_;
-
-  // Atomic ops on remote memory must be serialized per target NIC (real RNICs
-  // serialize atomics in the responder).
-  SpinLock atomic_mu_;
 };
 
 }  // namespace lt

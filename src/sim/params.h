@@ -109,12 +109,6 @@ struct SimParams {
   LiteTransport lite_transport = LiteTransport::kRc;
   int lite_dc_qp_pool = 32;            // DC initiator QPs per node (bounded).
   uint64_t lite_dc_connect_ns = 900;   // DC re-target (attach) cost, host side.
-  // Sticky QP selection (PickQpIndexSticky): a thread's QP within its QoS
-  // band is hash(thread) + lite_sticky_salt; with lite_sticky_rotate_ops > 0
-  // the choice also rotates to the next QP every that-many sticky picks by
-  // the thread. Defaults (0/0) reproduce the historical pure-hash behavior.
-  uint32_t lite_sticky_salt = 0;
-  uint32_t lite_sticky_rotate_ops = 0;
   // Eagerly bootstrap the all-pairs control rings at cluster construction.
   // Off: control channels are established lazily on first internal RPC to a
   // peer — required for large sparse clusters (the 1000-node scale bench)
@@ -146,8 +140,6 @@ struct SimParams {
   // Live LMR migration (DESIGN.md "Epoch-fenced ownership & live migration").
   uint32_t lite_migrate_max_rounds = 4;  // Bounded dirty re-copy rounds before
                                          // the fence closes regardless.
-  uint64_t lite_migrate_park_poll_ns = 20'000;  // Re-check cadence (virtual)
-                                                // while an op parks on a fence.
   // Chaos-soak liveness lease: soaks and benches that crash nodes under load
   // share this knob instead of each picking its own constant. Long enough
   // that a healthy node does not flap dead when host scheduling (single
@@ -162,10 +154,6 @@ struct SimParams {
   uint64_t tcp_recv_stack_ns = 9000;   // rx path incl. interrupt + copy.
   double tcp_rate_bytes_per_ns = 1.7;  // ~13.6 Gb/s effective, per paper Fig. 7.
   size_t tcp_mtu_bytes = 65520;        // IPoIB connected-mode MTU.
-
-  // ---- Failure injection (tests only; zero by default) ----
-  double fabric_drop_probability = 0.0;
-  uint64_t fabric_extra_delay_ns = 0;
 
   // Convenience: wire transfer time for a payload at line rate.
   uint64_t WireBytesNs(size_t bytes) const {

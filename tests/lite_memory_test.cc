@@ -661,15 +661,24 @@ TEST_F(MigrationTest, MigrateUnderConcurrentWritesLosesNothing) {
   // be exactly the last write each slot saw.
   std::array<uint64_t, kSlots> last{};
   std::atomic<bool> stop{false};
+  std::atomic<bool> swept{false};
   std::thread writer([&] {
     uint64_t seq = 1;
     while (!stop.load(std::memory_order_relaxed)) {
       const uint64_t slot = seq % kSlots;
       EXPECT_TRUE(c2_->Write(*wh, slot * 8, &seq, 8).ok());
       last[slot] = seq;
+      if (seq == kSlots) {
+        swept.store(true, std::memory_order_release);
+      }
       ++seq;
     }
   });
+  // Every slot holds a written value before the migration starts, so the
+  // final comparison never meets a slot the writer has not reached yet.
+  while (!swept.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
 
   LiteInstance::MigrateStats stats;
   ASSERT_TRUE(c1_->Migrate("mig_live", 0, &stats).ok());

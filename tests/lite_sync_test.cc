@@ -41,16 +41,34 @@ TEST_F(LiteSyncTest, FetchAddLocalAndRemote) {
 }
 
 TEST_F(LiteSyncTest, FetchAddIsAtomicUnderContention) {
+  // Mixed local and remote atomics on one word: threads 0 and 3 sit on the
+  // owner node (loopback path), threads 1 and 2 go through the RNIC
+  // responder. Each iteration is one fetch-add plus one CAS increment, so a
+  // lost update on either path, or between the two, leaves the count short.
+  constexpr int kThreads = 4;
+  constexpr uint64_t kIters = 5000;
   auto lh = c0_->Malloc(64, "fa_race");
   uint64_t zero = 0;
   ASSERT_TRUE(c0_->Write(*lh, 0, &zero, 8).ok());
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       auto client = cluster_->CreateClient(static_cast<lt::NodeId>(t % 3));
       auto mapped = client->Map("fa_race");
-      for (int i = 0; i < 100; ++i) {
-        ASSERT_TRUE(client->FetchAdd(*mapped, 0, 1).ok());
+      ASSERT_TRUE(mapped.ok());
+      for (uint64_t i = 0; i < kIters; ++i) {
+        auto old = client->FetchAdd(*mapped, 0, 1);
+        ASSERT_TRUE(old.ok());
+        // CAS increment, retried from the value each failed swap observed.
+        uint64_t guess = *old + 1;
+        while (true) {
+          auto seen = client->TestSet(*mapped, 0, guess, guess + 1);
+          ASSERT_TRUE(seen.ok());
+          if (*seen == guess) {
+            break;
+          }
+          guess = *seen;
+        }
       }
     });
   }
@@ -59,7 +77,7 @@ TEST_F(LiteSyncTest, FetchAddIsAtomicUnderContention) {
   }
   uint64_t value = 0;
   ASSERT_TRUE(c0_->Read(*lh, 0, &value, 8).ok());
-  EXPECT_EQ(value, 400u);
+  EXPECT_EQ(value, 2 * kThreads * kIters);
 }
 
 TEST_F(LiteSyncTest, TestSetSemantics) {
