@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, then the chaos soak under
-# ThreadSanitizer (the failure-recovery paths are the most thread-hostile
-# code in the tree, so they get the extra scrutiny).
+# Tier-1 verification: full build + test suite, the bench and trace gates, an
+# appbench smoke, then the chaos soak under ThreadSanitizer (the
+# failure-recovery paths are the most thread-hostile code in the tree, so they
+# get the extra scrutiny).
 #
 # Usage: scripts/run_tier1.sh [jobs]
 set -euo pipefail
@@ -35,6 +36,11 @@ TRACE_OUT="$(mktemp /tmp/lite_trace.XXXXXX.json)"
 trap 'rm -f "${TRACE_OUT}"' EXIT
 ./build/bench/fig10_rpc_latency --trace-out "${TRACE_OUT}" >/dev/null
 python3 scripts/check_trace.py --require-flow "${TRACE_OUT}"
+
+echo "== tier-1: appbench smoke =="
+# Every application workload once untraced and once traced, on a fresh build
+# of the benchmark binary; fails on a non-zero exit or any failed request.
+python3 appbench/run.py --selftest
 
 echo "== tier-1: chaos soak under ThreadSanitizer =="
 cmake -B build-tsan -S . -DLT_SANITIZE=thread >/dev/null

@@ -1,18 +1,25 @@
 #include "src/mem/phys_mem.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
-#include <cstring>
+#include <new>
 
 namespace lt {
 
 PhysMem::PhysMem(uint64_t size_bytes, size_t page_size)
-    : size_(size_bytes - (size_bytes % page_size)),
-      page_size_(page_size),
-      data_(new uint8_t[size_]) {
+    : size_(size_bytes - (size_bytes % page_size)), page_size_(page_size) {
   assert(size_ > 0);
-  std::memset(data_.get(), 0, size_);
+  void* p = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  data_ = {static_cast<uint8_t*>(p), Unmap{size_}};
   free_runs_[0] = size_ / page_size_;
 }
+
+void PhysMem::Unmap::operator()(uint8_t* p) const { munmap(p, size); }
 
 StatusOr<PhysAddr> PhysMem::AllocContiguous(uint64_t bytes) {
   if (bytes == 0) {

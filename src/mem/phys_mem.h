@@ -1,5 +1,7 @@
 // Per-node physical memory: one flat byte pool with a page-granular
-// first-fit allocator that can hand out physically-consecutive ranges.
+// first-fit allocator that can hand out physically-consecutive ranges. The
+// pool is one lazily faulted anonymous mapping: host RSS follows the bytes
+// touched, untouched bytes read 0, and Free does not scrub.
 //
 // LITE allocates LMR chunks here directly (physical addressing); native-Verbs
 // processes allocate virtual memory whose pages also come from this pool via
@@ -44,7 +46,11 @@ class PhysMem {
  private:
   const uint64_t size_;
   const size_t page_size_;
-  std::unique_ptr<uint8_t[]> data_;
+  struct Unmap {
+    uint64_t size;
+    void operator()(uint8_t* p) const;
+  };
+  std::unique_ptr<uint8_t, Unmap> data_;  // One contiguous mapping of size_ bytes.
 
   mutable std::mutex mu_;
   // Free list: start page -> page count. Allocation map: start page -> count.

@@ -438,9 +438,11 @@ TEST_F(LiteRpcRecoveryTest, DeadPeerFailsFastWithUnavailable) {
 TEST(LiteRpcZombieTest, TimedOutSlotsAreReclaimed) {
   // Exhaust a tiny reply-slot pool with calls that time out (unserved
   // function, no retries), then verify the quarantine sweep recycles the
-  // zombie slots so later calls still find capacity.
+  // zombie slots so later calls still find capacity. The timeout is a
+  // real-time bound that every recycled call must also meet, so it leaves
+  // ample room for a loaded host to schedule the server's poll thread.
   lt::SimParams p = lt::SimParams::FastForTests();
-  p.lite_rpc_timeout_ns = 10'000'000;  // 10 ms
+  p.lite_rpc_timeout_ns = 250'000'000;  // 250 ms
   p.lite_rpc_max_retries = 0;
   p.lite_reply_slots = 4;
   LiteCluster cluster(2, p);
@@ -455,7 +457,8 @@ TEST(LiteRpcZombieTest, TimedOutSlotsAreReclaimed) {
   }
   // All four slots are zombies now; they become reclaimable once they are
   // older than the RPC timeout (real time).
-  std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  std::this_thread::sleep_for(std::chrono::nanoseconds(p.lite_rpc_timeout_ns) +
+                              std::chrono::milliseconds(10));
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(c0->Rpc(1, 40, "recycled", 8, out, sizeof(out), &out_len).ok()) << i;
   }

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstring>
+#include <fstream>
 #include <set>
+#include <string>
 
 #include "src/common/rng.h"
+#include "src/lite/lite_cluster.h"
 #include "src/mem/page_table.h"
 #include "src/mem/phys_mem.h"
 
@@ -11,6 +15,34 @@ namespace lt {
 namespace {
 
 constexpr size_t kPage = 4096;
+
+// Minor page faults taken so far by the calling thread.
+long ThreadMinorFaults() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return ru.ru_minflt;
+}
+
+// Resident set size of this process in kB (VmRSS in /proc/self/status).
+long VmRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stol(line.substr(6));
+    }
+  }
+  return -1;
+}
+
+bool AllBytesAre(const uint8_t* p, size_t len, uint8_t v) {
+  for (size_t i = 0; i < len; ++i) {
+    if (p[i] != v) {
+      return false;
+    }
+  }
+  return true;
+}
 
 TEST(PhysMemTest, AllocatesPageAligned) {
   PhysMem mem(1 << 20, kPage);
@@ -119,6 +151,62 @@ TEST(PhysMemTest, RandomAllocFreeInvariants) {
     }
     EXPECT_EQ(mem.allocated_bytes() + mem.free_bytes(), 64 * kPage);
   }
+}
+
+// ------------------------------------------------- lazily faulted backing
+
+// A pool far larger than anything the tests touch: constructing it must not
+// fault its pages in (an eagerly zeroed 1 GB pool takes ~262k faults).
+constexpr uint64_t kLazyPool = 1ull << 30;
+constexpr long kFaultBudget = 256;
+
+TEST(PhysMemLazyTest, ConstructingAGigabytePoolFaultsAlmostNothing) {
+  const long before = ThreadMinorFaults();
+  PhysMem mem(kLazyPool, kPage);
+  EXPECT_LT(ThreadMinorFaults() - before, kFaultBudget);
+  EXPECT_EQ(mem.free_bytes(), kLazyPool);
+}
+
+TEST(PhysMemLazyTest, FreshRangeReadsZeroThroughTheLastPage) {
+  const long before = ThreadMinorFaults();
+  PhysMem mem(kLazyPool, kPage);
+  auto head = mem.AllocContiguous(kLazyPool - kPage);
+  auto last = mem.AllocContiguous(kPage);
+  ASSERT_TRUE(head.ok());
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last, kLazyPool - kPage);  // The pool's final page.
+  EXPECT_TRUE(AllBytesAre(mem.Data(*head, kPage), kPage, 0));
+  EXPECT_TRUE(AllBytesAre(mem.Data(*head + kLazyPool / 2, kPage), kPage, 0));
+  EXPECT_TRUE(AllBytesAre(mem.Data(*last, kPage), kPage, 0));
+  // Reading untouched bytes needs no eager zeroing of the pool.
+  EXPECT_LT(ThreadMinorFaults() - before, kFaultBudget);
+}
+
+TEST(PhysMemLazyTest, FreeDoesNotScrub) {
+  const long before = ThreadMinorFaults();
+  PhysMem mem(kLazyPool, kPage);
+  ASSERT_TRUE(mem.AllocContiguous(kLazyPool - 4 * kPage).ok());
+  // A write near the end of the pool that straddles two page boundaries.
+  auto a = mem.AllocContiguous(3 * kPage);
+  ASSERT_TRUE(a.ok());
+  const PhysAddr at = *a + kPage / 2;
+  std::memset(mem.Data(at, 2 * kPage), 0xA5, 2 * kPage);
+  ASSERT_TRUE(mem.Free(*a).ok());
+  auto b = mem.AllocContiguous(3 * kPage);
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(*b, *a);
+  EXPECT_TRUE(AllBytesAre(mem.Data(at, 2 * kPage), 2 * kPage, 0xA5));
+  EXPECT_TRUE(AllBytesAre(mem.Data(*b, kPage / 2), kPage / 2, 0));
+  EXPECT_LT(ThreadMinorFaults() - before, kFaultBudget);
+}
+
+TEST(PhysMemLazyTest, FourNodeClusterStaysSmall) {
+  // Default SimParams give each node a 96 MB pool; RSS must follow what the
+  // cluster touches, not 4 x 96 MB.
+  const long before_kb = VmRssKb();
+  ASSERT_GT(before_kb, 0);
+  lite::LiteCluster cluster(4);
+  EXPECT_LT(VmRssKb() - before_kb, 64L << 10);
 }
 
 // ------------------------------------------------------------ PageTable
