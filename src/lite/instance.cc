@@ -89,6 +89,8 @@ void LiteInstance::RegisterTelemetry() {
   // Probes read this instance's existing counters at snapshot time only.
   reg.RegisterProbe("lite.rpc.ring_bytes", [this] { return rpc_ring_bytes_in_use(); });
   reg.RegisterProbe("lite.poll.cpu_ns", [this] { return poll_cpu_.TotalCpuNs(); });
+  reg.RegisterProbe("lite.svc.threads",
+                    [this] { return svc_threads_.load(std::memory_order_relaxed); });
   reg.RegisterProbe("lite.lh_count", [this] { return static_cast<uint64_t>(lh_count()); });
   reg.RegisterProbe("lite.qp_pool", [this] { return static_cast<uint64_t>(qp_pool_size()); });
   reg.RegisterProbe("lite.qos.admits", [this] { return qos_.admit_count(); });
@@ -172,12 +174,9 @@ void LiteInstance::BootstrapControlChannel(LiteInstance* server) {
 
 void LiteInstance::Start() {
   stopping_.store(false);
-  threads_.emplace_back([this] { PollLoop(); });
-  threads_.emplace_back([this] { HeadWriterLoop(); });
-  threads_.emplace_back([this] { InternalWorkerLoop(); });
-  threads_.emplace_back([this] { InternalWorkerLoop(); });
+  StartServiceThread(&poll_thread_, &LiteInstance::PollLoop);
   if (params().lite_keepalive_interval_ns > 0 && node_id() != manager_node_) {
-    threads_.emplace_back([this] { KeepaliveLoop(); });
+    StartServiceThread(&keepalive_thread_, &LiteInstance::KeepaliveLoop);
   }
 }
 
@@ -193,6 +192,10 @@ void LiteInstance::Stop() {
   if (recv_cq_ != nullptr) {
     recv_cq_->Shutdown();
   }
+  // The poll thread pushes into every queue below and starts the threads
+  // that drain them: join it before closing a queue or reading a thread.
+  JoinServiceThread(&poll_thread_);
+  JoinServiceThread(&keepalive_thread_);
   internal_queue_.Close();
   head_updates_.Close();
   msg_queue_.Close();
@@ -202,12 +205,22 @@ void LiteInstance::Stop() {
       queue->Close();
     }
   }
-  for (std::thread& t : threads_) {
-    if (t.joinable()) {
-      t.join();
-    }
+  JoinServiceThread(&head_writer_thread_);
+  for (std::thread& t : worker_threads_) {
+    JoinServiceThread(&t);
   }
-  threads_.clear();
+}
+
+void LiteInstance::StartServiceThread(std::thread* t, void (LiteInstance::*loop)()) {
+  svc_threads_.fetch_add(1, std::memory_order_relaxed);
+  *t = std::thread(loop, this);
+}
+
+void LiteInstance::JoinServiceThread(std::thread* t) {
+  if (t->joinable()) {
+    t->join();
+    svc_threads_.fetch_sub(1, std::memory_order_relaxed);
+  }
 }
 
 LiteInstance* LiteInstance::Peer(NodeId node) const {

@@ -100,7 +100,12 @@ class LiteInstance {
   uint32_t DctQpn() const { return transport_->TargetQpn(); }
   // Control-ring setup to `server` (bootstrap; no simulated cost).
   void BootstrapControlChannel(LiteInstance* server);
-  void Start();  // Launches service threads.
+  // Starts the poll thread (and the keepalive thread on a non-manager node
+  // when lite_keepalive_interval_ns > 0). The poll thread starts the head
+  // writer and the internal workers itself, on first use.
+  void Start();
+  // Joins the poll and keepalive threads, then closes the service queues
+  // and joins whatever the poll thread started.
   void Stop();
 
   // ================= Memory API (paper Table 1) =================
@@ -416,6 +421,11 @@ class LiteInstance {
   void HeadWriterLoop();
   void InternalWorkerLoop();
   void KeepaliveLoop();
+  // Runs `loop` on `*t` and counts it in lite.svc.threads; Join undoes both.
+  void StartServiceThread(std::thread* t, void (LiteInstance::*loop)());
+  void JoinServiceThread(std::thread* t);
+  // Poll thread only: hands `ring`'s new head to the head writer.
+  void PublishHead(ServerRing* ring);
   void HandleRequestImm(NodeId src, uint32_t imm, uint64_t vtime);
   void HandleReplyImm(uint32_t imm, uint32_t byte_len, uint64_t vtime);
 
@@ -532,8 +542,16 @@ class LiteInstance {
   // relaxed load per gated access while no migration has touched this node.
   MigrationState migration_;
 
-  // Service threads.
-  std::vector<std::thread> threads_;
+  // Service threads. Start() launches the poll and keepalive threads; the
+  // poll thread, the only producer of the service queues, starts the head
+  // writer on its first head publish and both workers on its first internal
+  // request, so it alone writes those (a joinable thread is its own started
+  // flag) until Stop() has joined it.
+  std::thread poll_thread_;
+  std::thread keepalive_thread_;
+  std::thread head_writer_thread_;
+  std::thread worker_threads_[2];
+  std::atomic<uint64_t> svc_threads_{0};  // Running service threads.
   std::atomic<bool> stopping_{false};
   lt::CpuMeter poll_cpu_;
 

@@ -1,10 +1,50 @@
 #include "src/lite/lite_cluster.h"
 
 #include <sstream>
+#include <thread>
 
 #include "src/telemetry/latency_attr.h"
 
 namespace lite {
+
+namespace {
+
+// True when no counter, probe or histogram moved between the two snapshots.
+bool SameSnapshot(const lt::telemetry::MetricsSnapshot& a,
+                  const lt::telemetry::MetricsSnapshot& b) {
+  if (a.values != b.values || a.histograms.size() != b.histograms.size()) {
+    return false;
+  }
+  for (const auto& [name, h] : a.histograms) {
+    auto it = b.histograms.find(name);
+    if (it == b.histograms.end() || it->second.count != h.count || it->second.sum != h.sum) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A snapshot reads its metrics one by one, so an op that a service thread
+// (a head writer's publish, a worker's reply) begins or retires during the
+// read tears it: `lite.engine.ops` counts the op while `ops_ok` and
+// `in_flight` do not. The watchdog's rules hold at one instant, so retake
+// the snapshot until two in a row agree (nothing moved while the first was
+// read); a real conservation fault persists and is still reported.
+lt::telemetry::MetricsSnapshot QuiescedSnapshot(const lt::telemetry::Registry& reg) {
+  constexpr int kMaxAttempts = 1000;
+  lt::telemetry::MetricsSnapshot snap = reg.Snapshot();
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    lt::telemetry::MetricsSnapshot again = reg.Snapshot();
+    if (SameSnapshot(snap, again)) {
+      break;
+    }
+    snap = std::move(again);
+    std::this_thread::yield();
+  }
+  return snap;
+}
+
+}  // namespace
 
 LiteCluster::LiteCluster(size_t node_count, const lt::SimParams& params)
     : cluster_(node_count, params) {
@@ -84,7 +124,7 @@ std::string LiteCluster::DumpLatencyBreakdown() {
 std::vector<std::string> LiteCluster::RunHealthCheck() {
   std::vector<std::string> violations;
   for (size_t i = 0; i < cluster_.size(); ++i) {
-    const auto snap = cluster_.node(i)->telemetry().registry().Snapshot();
+    const auto snap = QuiescedSnapshot(cluster_.node(i)->telemetry().registry());
     for (const std::string& v : lt::telemetry::HealthWatchdog::Check(snap)) {
       violations.push_back("node" + std::to_string(i) + ": " + v);
     }

@@ -53,8 +53,10 @@ class LiteCluster {
   // Human-readable per-stage latency waterfall, all nodes (latency_attr.h).
   std::string DumpLatencyBreakdown();
   // Health watchdog: evaluates the conservation invariants against every
-  // node's metrics snapshot; returns one "nodeN: ..." line per violation
-  // (empty = healthy). Cheap enough to call from any test teardown.
+  // node's metrics snapshot, retaken until no metric moved while it was read
+  // (so a background service op cannot tear it); returns one "nodeN: ..."
+  // line per violation (empty = healthy). Cheap enough to call from any test
+  // teardown.
   std::vector<std::string> RunHealthCheck();
 
  private:

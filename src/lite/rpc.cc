@@ -765,8 +765,7 @@ void LiteInstance::HandleRequestImm(NodeId src, uint32_t imm, uint64_t vtime) {
     // instead of re-running the handler — at-most-once execution.
     rpc_dup_requests_->Inc();
     ring->head = std::max(ring->head, hdr.tail_after);
-    ring->head_to_publish.store(ring->head, std::memory_order_release);
-    head_updates_.Push({ring, NowNs()});
+    PublishHead(ring);
     ReplayReply(ring, hdr);
     return;
   }
@@ -789,8 +788,7 @@ void LiteInstance::HandleRequestImm(NodeId src, uint32_t imm, uint64_t vtime) {
 
   // Release the ring space and let the background thread tell the client.
   ring->head = std::max(ring->head, hdr.tail_after);
-  ring->head_to_publish.store(ring->head, std::memory_order_release);
-  head_updates_.Push({ring, NowNs()});
+  PublishHead(ring);
 
   if (func <= kMaxAppFuncId) {
     EnsureAppQueue(func)->Push(std::move(inc));
@@ -801,8 +799,21 @@ void LiteInstance::HandleRequestImm(NodeId src, uint32_t imm, uint64_t vtime) {
     msg.arrival_vtime_ns = inc.arrival_vtime_ns;
     msg_queue_.Push(std::move(msg));
   } else {
+    if (!worker_threads_[0].joinable()) {
+      for (std::thread& t : worker_threads_) {
+        StartServiceThread(&t, &LiteInstance::InternalWorkerLoop);
+      }
+    }
     internal_queue_.Push({func, std::move(inc)});
   }
+}
+
+void LiteInstance::PublishHead(ServerRing* ring) {
+  ring->head_to_publish.store(ring->head, std::memory_order_release);
+  if (!head_writer_thread_.joinable()) {
+    StartServiceThread(&head_writer_thread_, &LiteInstance::HeadWriterLoop);
+  }
+  head_updates_.Push({ring, NowNs()});
 }
 
 // ------------------------------------------------- idempotence bookkeeping

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "src/common/timing.h"
@@ -463,6 +466,86 @@ TEST(LiteRpcZombieTest, TimedOutSlotsAreReclaimed) {
     ASSERT_TRUE(c0->Rpc(1, 40, "recycled", 8, out, sizeof(out), &out_len).ok()) << i;
   }
   EXPECT_GT(cluster.instance(0)->Stat("lite.rpc.zombie_reclaimed"), 0);
+}
+
+// OS threads of this process, from /proc/self/status (-1 if unreadable).
+int OsThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoi(line.substr(8));
+    }
+  }
+  return -1;
+}
+
+int64_t SvcThreads(LiteCluster& cluster, lt::NodeId node) {
+  return cluster.instance(node)->Stat("lite.svc.threads");
+}
+
+// Only the poll thread starts eagerly; a node starts its head writer when
+// it first serves a request and its two internal workers when it first
+// serves an internal one (Malloc's name registration, Map).
+TEST(LiteServiceThreadsTest, ServedNodesRunFourLoopsClientsRunOne) {
+  LiteCluster cluster(4, lt::SimParams::FastForTests());
+  for (lt::NodeId n = 0; n < 4; ++n) {
+    EXPECT_EQ(SvcThreads(cluster, n), 1) << "node " << n;
+  }
+  auto c0 = cluster.CreateClient(0);
+  auto c1 = cluster.CreateClient(1);
+  ASSERT_TRUE(c0->Malloc(4096, "svc-lmr").ok());
+  ASSERT_TRUE(c1->Map("svc-lmr").ok());
+  EXPECT_EQ(SvcThreads(cluster, 0), 4);
+  for (lt::NodeId n = 1; n < 4; ++n) {
+    EXPECT_EQ(SvcThreads(cluster, n), 1) << "node " << n;
+  }
+}
+
+TEST(LiteServiceThreadsTest, KeepaliveAddsOneThreadPerNonManager) {
+  lt::SimParams p = lt::SimParams::FastForTests();
+  p.lite_keepalive_interval_ns = 2'000'000;  // 2 ms cadence (real time).
+  LiteCluster cluster(4, p);
+  for (lt::NodeId n = 1; n < 4; ++n) {
+    EXPECT_EQ(SvcThreads(cluster, n), 2) << "node " << n;
+  }
+  // The manager serves the keepalives, so it starts its head writer and
+  // workers once the first lease renewal lands; the clients stay at two.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (SvcThreads(cluster, 0) != 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(SvcThreads(cluster, 0), 4);
+  for (lt::NodeId n = 1; n < 4; ++n) {
+    EXPECT_EQ(SvcThreads(cluster, n), 2) << "node " << n;
+  }
+}
+
+// Tears each cluster down right after its first internal RPC, with
+// fire-and-forget requests still in flight. Node 2 is stopped right after
+// its first request is sent, while its poll thread may be starting the head
+// writer and workers: Stop must join every thread the poll threads started,
+// and none may hang.
+TEST(LiteServiceThreadsTest, TeardownAfterFirstInternalRpcLeavesNoThread) {
+  const int before = OsThreadCount();
+  ASSERT_GT(before, 0);
+  const char payload[] = "in-flight";
+  for (int round = 0; round < 200; ++round) {
+    LiteCluster cluster(3, lt::SimParams::FastForTests());
+    auto c1 = cluster.CreateClient(1);
+    ASSERT_TRUE(c1->Malloc(4096, "teardown-" + std::to_string(round)).ok());
+    for (int i = 0; i < 8; ++i) {
+      for (lt::NodeId from = 0; from < 3; ++from) {
+        const lt::NodeId to = from == 0 ? 1 : 0;
+        ASSERT_TRUE(cluster.instance(from)
+                        ->RpcSendNoReply(to, kFnEcho, payload, sizeof(payload))
+                        .ok());
+      }
+    }
+    ASSERT_TRUE(cluster.instance(0)->RpcSendNoReply(2, kFnEcho, payload, sizeof(payload)).ok());
+    cluster.instance(2)->Stop();
+  }
+  EXPECT_EQ(OsThreadCount(), before);
 }
 
 }  // namespace
