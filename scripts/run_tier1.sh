@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, the bench and trace gates, an
-# appbench smoke, then the chaos soak and the RPC suite under ThreadSanitizer
-# (the failure-recovery paths are the most thread-hostile code in the tree, and
-# the RPC path starts and stops the service threads, so they get the extra
-# scrutiny).
+# appbench smoke, then the chaos soak, the RPC suite and the memory suite under
+# ThreadSanitizer (the failure-recovery paths are the most thread-hostile code
+# in the tree, the RPC path starts and stops the service threads, and all of
+# migration's internal-RPC traffic funnels through the one completion poller,
+# so they get the extra scrutiny).
 #
 # Usage: scripts/run_tier1.sh [jobs]
 set -euo pipefail
@@ -45,10 +46,11 @@ python3 appbench/run.py --selftest
 
 echo "== tier-1: chaos soak under ThreadSanitizer =="
 cmake -B build-tsan -S . -DLT_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test
+cmake --build build-tsan -j"${JOBS}" --target faults_chaos_test faults_test lite_async_test lite_ring_test transport_test lite_sync_test lite_rpc_test lite_memory_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/faults_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_sync_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_rpc_test
+TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_memory_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_async_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/lite_ring_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/transport_test

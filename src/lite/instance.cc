@@ -73,7 +73,6 @@ void LiteInstance::RegisterTelemetry() {
   rpc_requests_ = reg.GetCounter("lite.rpc.requests");
   rpc_replies_ = reg.GetCounter("lite.rpc.replies");
   poll_wakeups_ = reg.GetCounter("lite.poll.wakeups");
-  poll_idle_wakeups_ = reg.GetCounter("lite.poll.idle_wakeups");
   poll_batch_hist_ = reg.GetHistogram("lite.rpc.poll_batch");
   // Fault & recovery instruments (docs/TELEMETRY.md).
   rpc_retries_ = reg.GetCounter("lite.rpc.retries");
@@ -172,9 +171,9 @@ void LiteInstance::BootstrapControlChannel(LiteInstance* server) {
   channels_.emplace(std::make_pair(server->node_id(), kControlRingId), std::move(channel));
 }
 
-void LiteInstance::Start() {
+void LiteInstance::Start(lt::CompChannel* poller) {
   stopping_.store(false);
-  StartServiceThread(&poll_thread_, &LiteInstance::PollLoop);
+  recv_cq_->AttachChannel(poller, this);
   if (params().lite_keepalive_interval_ns > 0 && node_id() != manager_node_) {
     StartServiceThread(&keepalive_thread_, &LiteInstance::KeepaliveLoop);
   }
@@ -189,15 +188,11 @@ void LiteInstance::Stop() {
     std::lock_guard<std::mutex> lock(keepalive_mu_);
   }
   keepalive_cv_.notify_all();
-  if (recv_cq_ != nullptr) {
-    recv_cq_->Shutdown();
-  }
-  // The poll thread pushes into every queue below and starts the threads
-  // that drain them: join it before closing a queue or reading a thread.
-  JoinServiceThread(&poll_thread_);
+  // The poller pushes into every queue below and starts the threads that
+  // drain them: detach from it before closing a queue or reading a thread.
+  recv_cq_->DetachChannel();
   JoinServiceThread(&keepalive_thread_);
   internal_queue_.Close();
-  head_updates_.Close();
   msg_queue_.Close();
   {
     std::lock_guard<std::mutex> lock(funcs_mu_);
@@ -205,7 +200,6 @@ void LiteInstance::Stop() {
       queue->Close();
     }
   }
-  JoinServiceThread(&head_writer_thread_);
   for (std::thread& t : worker_threads_) {
     JoinServiceThread(&t);
   }

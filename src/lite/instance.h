@@ -4,12 +4,12 @@
 // registry + lh table + name service, Sec. 4.1),
 // and OpEngine (the single op-submission engine all three data paths post
 // through), plus the parts it still owns directly: the global physical MR
-// (one MPT entry, zero MTT pressure — Sec. 4.1), the shared receive-CQ
-// polling thread (Sec. 5.1), the RPC stack (server rings, reply slots,
-// head-writer thread — see rpc_state.h), the lock/barrier services, and the
-// QoS manager. Kernel-level applications call LiteInstance directly;
-// user-level ones go through LiteClient, which adds the user/kernel
-// crossing costs (Sec. 5.2).
+// (one MPT entry, zero MTT pressure — Sec. 4.1), the shared receive CQ and
+// the virtual poll thread that serves it (Sec. 5.1), the RPC stack (server
+// rings, reply slots, ring-head publishes — see rpc_state.h), the
+// lock/barrier services, and the QoS manager. Kernel-level applications call
+// LiteInstance directly; user-level ones go through LiteClient, which adds
+// the user/kernel crossing costs (Sec. 5.2).
 #ifndef SRC_LITE_INSTANCE_H_
 #define SRC_LITE_INSTANCE_H_
 
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/common/cpu_meter.h"
+#include "src/common/service_timeline.h"
 #include "src/common/status.h"
 #include "src/common/sync_util.h"
 #include "src/lite/lmr_table.h"
@@ -100,13 +101,18 @@ class LiteInstance {
   uint32_t DctQpn() const { return transport_->TargetQpn(); }
   // Control-ring setup to `server` (bootstrap; no simulated cost).
   void BootstrapControlChannel(LiteInstance* server);
-  // Starts the poll thread (and the keepalive thread on a non-manager node
-  // when lite_keepalive_interval_ns > 0). The poll thread starts the head
-  // writer and the internal workers itself, on first use.
-  void Start();
-  // Joins the poll and keepalive threads, then closes the service queues
-  // and joins whatever the poll thread started.
+  // Attaches the receive CQ to the cluster's completion poller (`poller`),
+  // which serves it through ServeCompletion, and starts the keepalive thread
+  // on a non-manager node when lite_keepalive_interval_ns > 0. The internal
+  // workers start on the node's first internal request.
+  void Start(lt::CompChannel* poller);
+  // Detaches the receive CQ (returns once the poller is outside this node's
+  // handlers for good), joins the keepalive thread, then closes the service
+  // queues and joins the internal workers.
   void Stop();
+  // Cluster poller only: serves one receive completion on this node's
+  // virtual poll thread (its own clock, serial capacity and CPU account).
+  void ServeCompletion(const lt::Completion& c);
 
   // ================= Memory API (paper Table 1) =================
   // LT_malloc: allocates an LMR, names it, makes the caller its master.
@@ -417,14 +423,12 @@ class LiteInstance {
   void ExecuteDeferredAsync(RingDeferredOp& op, RingDrainCache* cache);
 
   BlockingQueue<RpcIncoming>* EnsureAppQueue(RpcFuncId func);
-  void PollLoop();
-  void HeadWriterLoop();
   void InternalWorkerLoop();
   void KeepaliveLoop();
   // Runs `loop` on `*t` and counts it in lite.svc.threads; Join undoes both.
   void StartServiceThread(std::thread* t, void (LiteInstance::*loop)());
   void JoinServiceThread(std::thread* t);
-  // Poll thread only: hands `ring`'s new head to the head writer.
+  // Poll thread only: writes `ring`'s new head to the client's mirror.
   void PublishHead(ServerRing* ring);
   void HandleRequestImm(NodeId src, uint32_t imm, uint64_t vtime);
   void HandleReplyImm(uint32_t imm, uint32_t byte_len, uint64_t vtime);
@@ -517,10 +521,6 @@ class LiteInstance {
   // Messaging.
   BlockingQueue<MsgIncoming> msg_queue_;
 
-  // Head updates published by the background thread (paper Fig. 9, step f);
-  // items carry the triggering dispatch's virtual time.
-  BlockingQueue<std::pair<ServerRing*, uint64_t>> head_updates_;
-
   // Lock + barrier services.
   std::mutex locks_mu_;
   std::unordered_map<PhysAddr, LockQueue> lock_queues_;
@@ -542,25 +542,28 @@ class LiteInstance {
   // relaxed load per gated access while no migration has touched this node.
   MigrationState migration_;
 
-  // Service threads. Start() launches the poll and keepalive threads; the
-  // poll thread, the only producer of the service queues, starts the head
-  // writer on its first head publish and both workers on its first internal
-  // request, so it alone writes those (a joinable thread is its own started
-  // flag) until Stop() has joined it.
-  std::thread poll_thread_;
+  // The virtual poll thread (paper Sec. 5.1), a model entity the cluster
+  // poller's host thread runs: its clock between events, its serial dispatch
+  // capacity and its CPU account. Only the poller touches the first three.
+  uint64_t poll_clock_ns_ = 0;
+  lt::ServiceTimeline poll_timeline_;
+  uint64_t head_publish_cpu_ns_ = 0;  // Head-write CPU inside the current event.
+  lt::CpuMeter poll_cpu_;
+
+  // Service threads. Start() launches the keepalive thread; the poller, the
+  // only producer of the service queues, starts both workers on this node's
+  // first internal request, so it alone writes them (a joinable thread is its
+  // own started flag) until Stop() has detached the receive CQ.
   std::thread keepalive_thread_;
-  std::thread head_writer_thread_;
   std::thread worker_threads_[2];
   std::atomic<uint64_t> svc_threads_{0};  // Running service threads.
   std::atomic<bool> stopping_{false};
-  lt::CpuMeter poll_cpu_;
 
   // Telemetry instruments (owned by the node's registry; pointers cached so
   // the hot path never does a name lookup).
   lt::telemetry::Counter* rpc_requests_ = nullptr;
   lt::telemetry::Counter* rpc_replies_ = nullptr;
   lt::telemetry::Counter* poll_wakeups_ = nullptr;
-  lt::telemetry::Counter* poll_idle_wakeups_ = nullptr;
   lt::telemetry::FixedHistogram* poll_batch_hist_ = nullptr;
 
   // Failure-recovery instruments (docs/TELEMETRY.md, "Fault & recovery").

@@ -1,5 +1,6 @@
 #include "src/lite/lite_cluster.h"
 
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -25,7 +26,7 @@ bool SameSnapshot(const lt::telemetry::MetricsSnapshot& a,
 }
 
 // A snapshot reads its metrics one by one, so an op that a service thread
-// (a head writer's publish, a worker's reply) begins or retires during the
+// (the poller's head publish, a worker's reply) begins or retires during the
 // read tears it: `lite.engine.ops` counts the op while `ops_ok` and
 // `in_flight` do not. The watchdog's rules hold at one instant, so retake
 // the snapshot until two in a row agree (nothing moved while the first was
@@ -93,8 +94,9 @@ LiteCluster::LiteCluster(size_t node_count, const lt::SimParams& params)
       client->BootstrapControlChannel(client.get());
     }
   }
+  poller_ = std::thread(&LiteCluster::ServeLoop, this);
   for (auto& inst : instances_) {
-    inst->Start();
+    inst->Start(&poll_channel_);
   }
   // Any gtest failure while this cluster lives dumps its flight recorder
   // (tests/gtest_main.cc drains the registry on the first failed assertion).
@@ -105,6 +107,14 @@ LiteCluster::~LiteCluster() {
   lt::telemetry::UnregisterFailureDump(this);
   for (auto& inst : instances_) {
     inst->Stop();
+  }
+  poll_channel_.Close();
+  poller_.join();
+}
+
+void LiteCluster::ServeLoop() {
+  while (std::optional<lt::CompChannel::Event> ev = poll_channel_.Next()) {
+    static_cast<LiteInstance*>(ev->cq->channel_context())->ServeCompletion(ev->completion);
   }
 }
 

@@ -2,10 +2,17 @@
 // to one fabric: the equivalent of the paper's testbed (10 machines, 40 Gbps
 // InfiniBand). Construction performs the LT_join/cluster-manager setup phase
 // with no simulated cost (the paper's management library runs out-of-band).
+//
+// One host thread, the cluster's completion poller, serves every node's
+// receive CQ: it takes the earliest-ready completion across all ready CQs and
+// runs it on that node's own virtual poll thread (LiteInstance::
+// ServeCompletion). The per-node poll and head threads of the paper are model
+// entities; only their host thread is shared.
 #ifndef SRC_LITE_LITE_CLUSTER_H_
 #define SRC_LITE_LITE_CLUSTER_H_
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/lite/client.h"
@@ -24,6 +31,9 @@ class LiteCluster {
   lt::Cluster& cluster() { return cluster_; }
   lt::Node* node(NodeId id) { return cluster_.node(id); }
   const lt::SimParams& params() const { return cluster_.params(); }
+  // Running completion-poller host threads (1 while the cluster lives; the
+  // nodes' own service threads are each node's `lite.svc.threads`).
+  int poller_threads() const { return poller_.joinable() ? 1 : 0; }
 
   // Creates an application client on `node` (user-level by default).
   std::unique_ptr<LiteClient> CreateClient(NodeId node, bool kernel_level = false);
@@ -60,8 +70,15 @@ class LiteCluster {
   std::vector<std::string> RunHealthCheck();
 
  private:
+  // The poller's loop: serves completions until the channel closes.
+  void ServeLoop();
+
   lt::Cluster cluster_;
+  // Declared before the instances so it outlives them: a CQ push racing a
+  // node's detach may still signal it.
+  lt::CompChannel poll_channel_;
   std::vector<std::unique_ptr<LiteInstance>> instances_;
+  std::thread poller_;
 };
 
 }  // namespace lite

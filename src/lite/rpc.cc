@@ -5,10 +5,12 @@
 // 32-bit immediate encodes (function id, ring offset), and waits on a reply
 // slot. The server's single shared polling thread decodes the IMM, moves the
 // payload out of the ring, hands it to the registered function's queue, and
-// a background thread pushes the advanced ring head back to the client's
-// head mirror with a one-sided write (paper Fig. 9). The reply is a second
-// write-imm into the client's reply slot. Request writes are unsignaled:
-// failures surface as reply timeouts (paper Sec. 5.1).
+// the advanced ring head goes back to the client's head mirror with a
+// one-sided write (paper Fig. 9; a background thread in the paper). The reply
+// is a second write-imm into the client's reply slot. Request writes are
+// unsignaled: failures surface as reply timeouts (paper Sec. 5.1).
+// Each node's poll and head threads are model entities that LiteCluster's one
+// poller runs through ServeCompletion (see lite_cluster.h).
 #include <cstring>
 #include <set>
 #include <thread>
@@ -25,15 +27,12 @@ namespace lite {
 
 using lt::NowNs;
 using lt::SpinFor;
-using lt::WaitMode;
 using lt::WcOpcode;
 using lt::telemetry::AttrAdd;
 using lt::telemetry::AttrAddRpcWait;
 using lt::telemetry::LatStage;
 
 namespace {
-
-constexpr uint64_t kServiceWaitNs = 50'000'000;   // Poll-loop wakeup cadence.
 
 uint64_t Align64(uint64_t v) { return (v + 63) & ~63ull; }
 
@@ -202,8 +201,8 @@ Status LiteInstance::PostRpcRequest(RpcChannel* channel, RpcFuncId func, const v
   const uint64_t real_deadline = lt::RealNowNs() + params().lite_rpc_timeout_ns;
   uint64_t off;
   while (true) {
-    // The head mirror is DMA-written by the server's head-writer thread; the
-    // racy read is the paper's design (stale heads only delay reuse).
+    // The head mirror is DMA-written by the server when it publishes a ring
+    // head; the racy read is the paper's design (stale heads only delay reuse).
     uint64_t head = lt::SimDmaRead64(node_->mem().Data(channel->head_mirror, 8));
     off = channel->tail % channel->ring_size;
     uint64_t pad = (off + entry_len > channel->ring_size) ? (channel->ring_size - off) : 0;
@@ -646,34 +645,29 @@ StatusOr<MsgIncoming> LiteInstance::RecvMsg(uint64_t timeout_ns) {
 
 // ----------------------------------------------------------- service loops
 
-void LiteInstance::PollLoop() {
-  // The poll thread serves every event on the event's own timeline (clock
-  // rewound per event; its serial dispatch capacity is still enforced).
-  lt::ServiceTimeline timeline;
-  while (!stopping_.load()) {
-    uint64_t cpu0 = lt::ThreadCpuNs();
-    auto c = recv_cq_->WaitPoll(kServiceWaitNs, WaitMode::kSleep, 0);
-    if (stopping_.load()) {
-      break;
+void LiteInstance::ServeCompletion(const lt::Completion& c) {
+  // Resume this node's poll thread where its last event left it, then serve
+  // the event on the event's own timeline (clock rewound per event; the
+  // thread's serial dispatch capacity is still enforced).
+  lt::SetServiceClock(poll_clock_ns_);
+  const uint64_t cpu0 = lt::ThreadCpuNs();
+  lt::SyncToIdle(c.ready_at_ns);
+  poll_wakeups_->Inc();
+  if (c.opcode == WcOpcode::kRecvImm && c.has_imm) {
+    // Batch size at this wake: the completion in hand plus whatever else is
+    // already queued behind it (paper Sec. 5.1's shared-poller batching).
+    poll_batch_hist_->Record(1 + recv_cq_->Depth());
+    poll_timeline_.BeginService(c.ready_at_ns, params().lite_rpc_dispatch_ns,
+                                params().lite_adaptive_spin_ns, params().thread_wakeup_ns);
+    if (ImmFunc(c.imm) == kReplyFuncId) {
+      HandleReplyImm(c.imm, c.byte_len, lt::NowNs());
+    } else {
+      HandleRequestImm(c.src_node, c.imm, lt::NowNs());
     }
-    poll_wakeups_->Inc();
-    if (!c.has_value()) {
-      poll_idle_wakeups_->Inc();
-    }
-    if (c.has_value() && c->opcode == WcOpcode::kRecvImm && c->has_imm) {
-      // Batch size at this wake: the completion in hand plus whatever else is
-      // already queued behind it (paper Sec. 5.1's shared-poller batching).
-      poll_batch_hist_->Record(1 + recv_cq_->Depth());
-      timeline.BeginService(c->ready_at_ns, params().lite_rpc_dispatch_ns,
-                            params().lite_adaptive_spin_ns, params().thread_wakeup_ns);
-      if (ImmFunc(c->imm) == kReplyFuncId) {
-        HandleReplyImm(c->imm, c->byte_len, lt::NowNs());
-      } else {
-        HandleRequestImm(c->src_node, c->imm, lt::NowNs());
-      }
-    }
-    poll_cpu_.Add(lt::ThreadCpuNs() - cpu0);
   }
+  poll_cpu_.Add(lt::ThreadCpuNs() - cpu0 - head_publish_cpu_ns_);
+  head_publish_cpu_ns_ = 0;
+  poll_clock_ns_ = lt::NowNs();
 }
 
 void LiteInstance::HandleReplyImm(uint32_t imm, uint32_t byte_len, uint64_t vtime) {
@@ -809,11 +803,17 @@ void LiteInstance::HandleRequestImm(NodeId src, uint32_t imm, uint64_t vtime) {
 }
 
 void LiteInstance::PublishHead(ServerRing* ring) {
-  ring->head_to_publish.store(ring->head, std::memory_order_release);
-  if (!head_writer_thread_.joinable()) {
-    StartServiceThread(&head_writer_thread_, &LiteInstance::HeadWriterLoop);
-  }
-  head_updates_.Push({ring, NowNs()});
+  // The paper's background head thread, posted inline on the triggering
+  // event's timeline: neither its time nor its CPU counts against the poll
+  // thread. The mirror slab lies outside every LMR, so the post's migration
+  // gate always clears and never parks the poller.
+  const uint64_t vtime = NowNs();
+  const uint64_t cpu0 = lt::ThreadCpuNs();
+  const uint64_t head = ring->head;
+  (void)engine_.OneSidedWrite(ring->client, ring->client_head_mirror, &head, sizeof(head),
+                              Priority::kHigh);
+  head_publish_cpu_ns_ += lt::ThreadCpuNs() - cpu0;
+  lt::SetServiceClock(vtime);
 }
 
 // ------------------------------------------------- idempotence bookkeeping
@@ -965,20 +965,6 @@ void LiteInstance::KeepaliveLoop() {
       }
       SetPeerDead(n, dead[n] != 0);
     }
-  }
-}
-
-void LiteInstance::HeadWriterLoop() {
-  while (true) {
-    auto item = head_updates_.Pop();
-    if (!item.has_value()) {
-      return;  // Queue closed.
-    }
-    auto [ring, vtime] = *item;
-    lt::SetServiceClock(vtime);  // Publish on the triggering event's timeline.
-    uint64_t head = ring->head_to_publish.load(std::memory_order_acquire);
-    (void)engine_.OneSidedWrite(ring->client, ring->client_head_mirror, &head, sizeof(head),
-                                Priority::kHigh);
   }
 }
 

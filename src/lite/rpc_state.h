@@ -59,7 +59,7 @@ struct MsgIncoming {
 };
 
 // Client side of one RPC channel: ring placement at the server plus the
-// local tail and the head mirror the server's background thread updates.
+// local tail and the head mirror the server writes each advanced head into.
 struct RpcChannel {
   NodeId server = kInvalidNode;
   RpcFuncId func = 0;
@@ -79,7 +79,6 @@ struct ServerRing {
   uint64_t ring_size = 0;
   uint64_t head = 0;           // Absolute byte offset (monotonic).
   PhysAddr client_head_mirror = 0;
-  std::atomic<uint64_t> head_to_publish{0};
 
   // At-most-once execution state (poll thread only): every executed
   // sequence is <= seq_low or in seq_above (kept sparse — consecutive

@@ -101,12 +101,7 @@ std::optional<Completion> Cq::WaitPoll(uint64_t timeout_ns, WaitMode mode,
       return std::nullopt;
     }
     // Take the entry with the earliest virtual ready time.
-    auto best = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->ready_at_ns < best->ready_at_ns) {
-        best = it;
-      }
-    }
+    auto best = EarliestLocked();
     c = *best;
     entries_.erase(best);
   }
@@ -179,11 +174,16 @@ std::optional<Completion> Cq::TryTake(uint64_t wr_id) {
 }
 
 void Cq::Push(Completion completion) {
+  CompChannel* channel;
   {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.push_back(std::move(completion));
+    channel = channel_;
   }
   cv_.notify_all();
+  if (channel != nullptr) {
+    channel->Signal(this);
+  }
 }
 
 size_t Cq::Depth() const {
@@ -192,11 +192,141 @@ size_t Cq::Depth() const {
 }
 
 void Cq::Shutdown() {
+  CompChannel* channel;
   {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
+    channel = channel_;
   }
   cv_.notify_all();
+  if (channel != nullptr) {
+    channel->Signal(this);  // Its consumer drops the CQ from the ready list.
+  }
+}
+
+void Cq::AttachChannel(CompChannel* channel, void* context) {
+  {
+    std::scoped_lock lock(channel->mu_, mu_);
+    channel_ = channel;
+    channel_context_ = context;
+  }
+  channel->Signal(this);  // Entries pushed before the attach.
+}
+
+void Cq::DetachChannel() {
+  CompChannel* channel;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    channel = channel_;
+  }
+  if (channel != nullptr) {
+    channel->Detach(this);
+  }
+}
+
+std::deque<Completion>::iterator Cq::EarliestLocked() {
+  auto best = entries_.begin();
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (it->ready_at_ns < best->ready_at_ns) {
+      best = it;
+    }
+  }
+  return best;
+}
+
+std::optional<uint64_t> Cq::EarliestReadyAt() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (shutdown_ || entries_.empty()) {
+    return std::nullopt;
+  }
+  return EarliestLocked()->ready_at_ns;
+}
+
+std::optional<Completion> Cq::TakeEarliest() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (shutdown_ || entries_.empty()) {
+    return std::nullopt;
+  }
+  auto best = EarliestLocked();
+  Completion c = std::move(*best);
+  entries_.erase(best);
+  return c;
+}
+
+// ------------------------------------------------------------------ channel
+
+void CompChannel::Signal(Cq* cq) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // A listed CQ is rescanned before the consumer sleeps: no wake needed.
+    if (cq->channel_ != this || cq->listed_) {
+      return;
+    }
+    cq->listed_ = true;
+    ready_.push_back(cq);
+  }
+  work_cv_.notify_one();
+}
+
+void CompChannel::Detach(Cq* cq) {
+  std::unique_lock<std::mutex> lock(mu_);
+  {
+    std::lock_guard<std::mutex> cq_lock(cq->mu_);
+    cq->channel_ = nullptr;
+  }
+  if (cq->listed_) {
+    cq->listed_ = false;
+    ready_.erase(std::find(ready_.begin(), ready_.end(), cq));
+  }
+  idle_cv_.wait(lock, [this, cq] { return in_service_ != cq; });
+}
+
+std::optional<CompChannel::Event> CompChannel::Next() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (in_service_ != nullptr) {
+    in_service_ = nullptr;
+    idle_cv_.notify_all();
+  }
+  while (!closed_) {
+    // Earliest ready time across the listed CQs; unlist the empty ones
+    // (a later Push lists them again).
+    Cq* best = nullptr;
+    uint64_t best_at = 0;
+    for (size_t i = 0; i < ready_.size();) {
+      Cq* cq = ready_[i];
+      const std::optional<uint64_t> at = cq->EarliestReadyAt();
+      if (!at.has_value()) {
+        cq->listed_ = false;
+        ready_[i] = ready_.back();
+        ready_.pop_back();
+        continue;
+      }
+      if (best == nullptr || *at < best_at) {
+        best = cq;
+        best_at = *at;
+      }
+      ++i;
+    }
+    if (best != nullptr) {
+      // Empty only if the CQ's owner also polled it since the scan: rescan.
+      std::optional<Completion> c = best->TakeEarliest();
+      if (c.has_value()) {
+        in_service_ = best;
+        return Event{best, std::move(*c)};
+      }
+      continue;
+    }
+    work_cv_.wait(lock);
+  }
+  return std::nullopt;
+}
+
+void CompChannel::Close() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+  }
+  work_cv_.notify_all();
 }
 
 // ----------------------------------------------------------------------- qp

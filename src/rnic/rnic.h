@@ -110,6 +110,42 @@ struct Completion {
 // determines its modeled CPU utilization (paper Fig. 13).
 enum class WaitMode { kBusyPoll, kSleep, kAdaptive };
 
+class Cq;
+
+// Completion channel, the analogue of ibv_comp_channel: any number of CQs
+// attach to one channel and one consumer thread serves them all. An attached
+// CQ signals its channel on every Push, on Shutdown and on detach; the channel
+// lists the CQs that may hold entries, so a wakeup scans the ready CQs only,
+// never every attached one.
+class CompChannel {
+ public:
+  struct Event {
+    Cq* cq = nullptr;
+    Completion completion;
+  };
+
+  // Blocks until an attached CQ holds a completion, then removes the one with
+  // the earliest ready time across all of them, whatever the caller's clock
+  // (its clock is not touched). The event's CQ counts as in service until the
+  // next call; Cq::DetachChannel waits for that. nullopt once closed. One
+  // consumer thread only.
+  std::optional<Event> Next();
+  // Ends service: Next() returns nullopt from now on.
+  void Close();
+
+ private:
+  friend class Cq;
+  void Signal(Cq* cq);
+  void Detach(Cq* cq);
+
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // Wakes the consumer.
+  std::condition_variable idle_cv_;  // Wakes detachers when in_service_ moves.
+  std::vector<Cq*> ready_;           // CQs that may hold entries, each once.
+  Cq* in_service_ = nullptr;
+  bool closed_ = false;
+};
+
 // Completion queue; may be shared by any number of QPs (this is how LITE uses
 // one global receive CQ per node).
 class Cq {
@@ -142,12 +178,33 @@ class Cq {
   size_t Depth() const;
   void Shutdown();
 
+  // Hands this CQ's completions to `channel`'s consumer from now on, tagged
+  // with `context` (ibv_create_cq's cq_context). One channel at a time.
+  void AttachChannel(CompChannel* channel, void* context);
+  // On return the channel hands out none of this CQ's completions any more
+  // and its consumer is not serving one (so never call it from the consumer).
+  void DetachChannel();
+  void* channel_context() const { return channel_context_; }
+
  private:
+  friend class CompChannel;
+  // The entry with the earliest ready time (end() if none); mu_ held.
+  std::deque<Completion>::iterator EarliestLocked();
+  // Channel side: the earliest entry's ready time (nullopt when empty or shut
+  // down), and removal of that entry.
+  std::optional<uint64_t> EarliestReadyAt();
+  std::optional<Completion> TakeEarliest();
+
   const SimParams& params_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Completion> entries_;
   bool shutdown_ = false;
+  // Written under both the channel's mutex and mu_, so either one guards a
+  // read; listed_ is guarded by the channel's mutex alone.
+  CompChannel* channel_ = nullptr;
+  void* channel_context_ = nullptr;
+  bool listed_ = false;
 };
 
 // kRc/kUd are the classic Verbs types. kDcIni/kDcTgt model a dynamically

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -484,22 +485,25 @@ int64_t SvcThreads(LiteCluster& cluster, lt::NodeId node) {
   return cluster.instance(node)->Stat("lite.svc.threads");
 }
 
-// Only the poll thread starts eagerly; a node starts its head writer when
-// it first serves a request and its two internal workers when it first
-// serves an internal one (Malloc's name registration, Map).
-TEST(LiteServiceThreadsTest, ServedNodesRunFourLoopsClientsRunOne) {
+// A node starts no service thread of its own until it serves an internal
+// (control) request — Malloc's name registration, Map — and then starts its
+// two internal workers. Every node's receive CQ and ring-head publishes run
+// on the cluster's one completion poller.
+TEST(LiteServiceThreadsTest, ServedNodesRunTwoWorkersClientsRunNone) {
   LiteCluster cluster(4, lt::SimParams::FastForTests());
+  EXPECT_EQ(cluster.poller_threads(), 1);
   for (lt::NodeId n = 0; n < 4; ++n) {
-    EXPECT_EQ(SvcThreads(cluster, n), 1) << "node " << n;
+    EXPECT_EQ(SvcThreads(cluster, n), 0) << "node " << n;
   }
   auto c0 = cluster.CreateClient(0);
   auto c1 = cluster.CreateClient(1);
   ASSERT_TRUE(c0->Malloc(4096, "svc-lmr").ok());
   ASSERT_TRUE(c1->Map("svc-lmr").ok());
-  EXPECT_EQ(SvcThreads(cluster, 0), 4);
+  EXPECT_EQ(SvcThreads(cluster, 0), 2);
   for (lt::NodeId n = 1; n < 4; ++n) {
-    EXPECT_EQ(SvcThreads(cluster, n), 1) << "node " << n;
+    EXPECT_EQ(SvcThreads(cluster, n), 0) << "node " << n;
   }
+  EXPECT_EQ(cluster.poller_threads(), 1);
 }
 
 TEST(LiteServiceThreadsTest, KeepaliveAddsOneThreadPerNonManager) {
@@ -507,18 +511,159 @@ TEST(LiteServiceThreadsTest, KeepaliveAddsOneThreadPerNonManager) {
   p.lite_keepalive_interval_ns = 2'000'000;  // 2 ms cadence (real time).
   LiteCluster cluster(4, p);
   for (lt::NodeId n = 1; n < 4; ++n) {
-    EXPECT_EQ(SvcThreads(cluster, n), 2) << "node " << n;
+    EXPECT_EQ(SvcThreads(cluster, n), 1) << "node " << n;
   }
-  // The manager serves the keepalives, so it starts its head writer and
-  // workers once the first lease renewal lands; the clients stay at two.
+  // The manager serves the keepalives, so it starts its workers once the
+  // first lease renewal lands; the clients stay at their keepalive thread.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (SvcThreads(cluster, 0) != 4 && std::chrono::steady_clock::now() < deadline) {
+  while (SvcThreads(cluster, 0) != 2 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(SvcThreads(cluster, 0), 4);
+  EXPECT_EQ(SvcThreads(cluster, 0), 2);
   for (lt::NodeId n = 1; n < 4; ++n) {
-    EXPECT_EQ(SvcThreads(cluster, n), 2) << "node " << n;
+    EXPECT_EQ(SvcThreads(cluster, n), 1) << "node " << n;
   }
+}
+
+// A cluster adds one OS thread, its completion poller, whatever its size.
+TEST(LiteServiceThreadsTest, ClusterAddsOnePollerThreadAtAnySize) {
+  for (size_t nodes : {2, 4, 32}) {
+    const int before = OsThreadCount();
+    ASSERT_GT(before, 0);
+    {
+      LiteCluster cluster(nodes, lt::SimParams::FastForTests());
+      EXPECT_EQ(OsThreadCount(), before + 1) << nodes << " nodes";
+    }
+    EXPECT_EQ(OsThreadCount(), before) << nodes << " nodes";
+  }
+}
+
+// What node 1's virtual poll thread did with a burst of requests.
+struct PollRun {
+  std::vector<uint64_t> service_vtimes;  // Per request, sorted.
+  int64_t poll_cpu_ns = 0;
+  int64_t poll_wakeups = 0;
+};
+
+// Sends `count` fire-and-forget requests from `client` to `server`, all
+// issued at virtual time `at` on a fresh thread.
+void SendBurst(LiteCluster& cluster, lt::NodeId client, lt::NodeId server, RpcFuncId func,
+               int count, uint64_t at) {
+  std::thread([&] {
+    lt::SyncClockTo(at);
+    for (int i = 0; i < count; ++i) {
+      ASSERT_TRUE(cluster.instance(client)->RpcSendNoReply(server, func, &i, sizeof(i)).ok());
+    }
+  }).join();
+}
+
+// Node 0 sends node 1 a burst of kBurst requests at one virtual instant; with
+// `also_node2`, node 3 first sends node 2 the same burst at the same instant.
+// Costs are zero except the poll thread's 1 µs dispatch: one burst queues on
+// node 1's poll thread, and two bursts sharing one poll timeline would
+// overflow its 8192 ns capacity window.
+PollRun RunBursts(bool also_node2) {
+  constexpr int kBurst = 6;
+  constexpr RpcFuncId kFunc = 21;
+  constexpr uint64_t kBurstVtime = 1'000'000'000;  // Far past the warm-up.
+  lt::SimParams p = lt::SimParams::FastForTests();
+  p.lite_rpc_dispatch_ns = 1'000;
+  LiteCluster cluster(4, p);
+  const std::pair<lt::NodeId, lt::NodeId> pairs[] = {{0, 1}, {3, 2}};
+  for (const auto& [client, server] : pairs) {
+    EXPECT_TRUE(cluster.instance(server)->RegisterRpc(kFunc).ok());
+    // Warm-up request: binds the channel (a ring-setup internal RPC).
+    SendBurst(cluster, client, server, kFunc, 1, 0);
+    EXPECT_TRUE(cluster.instance(server)->RecvRpc(kFunc, 5'000'000'000).ok());
+  }
+  if (also_node2) {
+    SendBurst(cluster, 3, 2, kFunc, kBurst, kBurstVtime);
+  }
+  SendBurst(cluster, 0, 1, kFunc, kBurst, kBurstVtime);
+  PollRun run;
+  for (int i = 0; i < kBurst; ++i) {
+    auto inc = cluster.instance(1)->RecvRpc(kFunc, 5'000'000'000);
+    EXPECT_TRUE(inc.ok()) << i;
+    if (inc.ok()) {
+      run.service_vtimes.push_back(inc->arrival_vtime_ns);
+    }
+  }
+  if (also_node2) {
+    for (int i = 0; i < kBurst; ++i) {
+      EXPECT_TRUE(cluster.instance(2)->RecvRpc(kFunc, 5'000'000'000).ok()) << i;
+    }
+  }
+  std::sort(run.service_vtimes.begin(), run.service_vtimes.end());
+  // A request is handed over before its event's CPU is booked; stopping the
+  // node waits until the poller has left node 1's handlers for good.
+  cluster.instance(1)->Stop();
+  run.poll_cpu_ns = cluster.instance(1)->Stat("lite.poll.cpu_ns");
+  run.poll_wakeups = cluster.instance(1)->Stat("lite.poll.wakeups");
+  return run;
+}
+
+// The poller shares only its host thread: each node's poll thread keeps its
+// own clock, serial capacity and CPU account, so a simultaneous burst at
+// another node moves none of node 1's service times or poll counters.
+TEST(LiteServiceThreadsTest, PerNodePollTimelinesAreIndependent) {
+  const PollRun alone = RunBursts(/*also_node2=*/false);
+  const PollRun both = RunBursts(/*also_node2=*/true);
+  ASSERT_EQ(alone.service_vtimes.size(), 6u);
+  EXPECT_EQ(both.service_vtimes, alone.service_vtimes);
+  EXPECT_EQ(both.poll_cpu_ns, alone.poll_cpu_ns);
+  EXPECT_EQ(both.poll_wakeups, alone.poll_wakeups);
+  // The burst really queued on node 1's poll thread (1 µs dispatch each).
+  EXPECT_GE(alone.service_vtimes.back() - alone.service_vtimes.front(), 2'000u);
+}
+
+// Stopping one node leaves the poller serving the others: their calls keep
+// succeeding, and the stopped node's threads are gone.
+TEST(LiteServiceThreadsTest, StoppingOneNodeKeepsOthersServed) {
+  const int before = OsThreadCount();
+  ASSERT_GT(before, 0);
+  {
+    LiteCluster cluster(3, lt::SimParams::FastForTests());
+    // Node 2 serves internal requests first, so it has workers to join.
+    MallocOptions on_node2;
+    on_node2.nodes = {2};
+    ASSERT_TRUE(cluster.CreateClient(1)->Malloc(4096, "stop-one", on_node2).ok());
+    ASSERT_EQ(SvcThreads(cluster, 2), 2);
+    EchoServer server0(&cluster, 0, 40);
+    EchoServer server1(&cluster, 1, 40);
+    std::atomic<bool> stop{false};
+    std::atomic<int> failures{0};
+    std::atomic<int> calls{0};
+    std::vector<std::thread> callers;
+    for (lt::NodeId from : {0, 1}) {
+      callers.emplace_back([&, from] {
+        auto client = cluster.CreateClient(from);
+        const lt::NodeId to = 1 - from;
+        char out[64];
+        uint32_t out_len = 0;
+        while (!stop.load()) {
+          if (!client->Rpc(to, 40, "ping", 4, out, sizeof(out), &out_len).ok()) {
+            failures.fetch_add(1);
+          }
+          calls.fetch_add(1);
+        }
+      });
+    }
+    while (calls.load() < 50) {
+      std::this_thread::yield();
+    }
+    cluster.instance(2)->Stop();
+    EXPECT_EQ(SvcThreads(cluster, 2), 0);
+    const int at_stop = calls.load();
+    while (calls.load() < at_stop + 200) {
+      std::this_thread::yield();
+    }
+    stop.store(true);
+    for (std::thread& t : callers) {
+      t.join();
+    }
+    EXPECT_EQ(failures.load(), 0);
+  }
+  EXPECT_EQ(OsThreadCount(), before);
 }
 
 // Tears each cluster down right after its first internal RPC, with
